@@ -31,7 +31,7 @@
 namespace evo {
 namespace {
 
-/// `entries` /16 routes, the table shape BM_FibLookup has always used.
+/// `entries` /16 routes, the table shape the FIB benches have always used.
 net::Fib make_fib(std::uint32_t entries) {
   net::Fib fib;
   for (std::uint32_t i = 0; i < entries; ++i) {
@@ -55,21 +55,6 @@ std::vector<net::Ipv4Addr> make_probes(std::uint32_t entries) {
   }
   return probes;
 }
-
-void BM_FibLookup(benchmark::State& state) {
-  const auto entries = static_cast<std::uint32_t>(state.range(0));
-  const net::Fib fib = make_fib(entries);
-  const auto probes = make_probes(entries);
-  std::uint64_t hits = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    hits += fib.lookup(probes[i]) != nullptr;
-    i = (i + 1) & (probes.size() - 1);
-  }
-  benchmark::DoNotOptimize(hits);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FibLookup)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_CompiledFibLookup(benchmark::State& state) {
   const auto entries = static_cast<std::uint32_t>(state.range(0));

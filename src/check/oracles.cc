@@ -253,7 +253,7 @@ void check_fib_equivalence(const EvolvableInternet& internet,
     if (compiled.epoch() != fib.epoch()) {
       out.push_back({OracleKind::kFibEquivalence, 0,
                      "router " + node_str(router.id) +
-                         ": compiled epoch lags the trie after refresh"});
+                         ": compiled epoch lags the FIB after refresh"});
       continue;
     }
     for (const Ipv4Addr addr : probes) {
@@ -265,7 +265,7 @@ void check_fib_equivalence(const EvolvableInternet& internet,
         out.push_back({OracleKind::kFibEquivalence, 0,
                        "router " + node_str(router.id) + " addr " +
                            std::to_string(addr.bits()) +
-                           ": trie and compiled LPM disagree"});
+                           ": reference and compiled LPM disagree"});
         break;  // one differential failure per router is enough signal
       }
     }

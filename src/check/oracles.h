@@ -17,7 +17,7 @@
 //                       member with exact IGP cost (§3.2);
 //   kIgpGroundTruth     LS/DV distances equal Dijkstra on the usable
 //                       domain graph;
-//   kFibEquivalence     CompiledFib lookups match the authoritative trie
+//   kFibEquivalence     CompiledFib lookups match the reference Fib::lookup
 //                       for every probe address;
 //   kGaoRexford         every Loc-RIB AS path is loop-free, valley-free,
 //                       and consistent with its learned-from class;

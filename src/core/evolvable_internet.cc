@@ -149,10 +149,14 @@ std::uint64_t EvolvableInternet::converge() {
   for (int i = 0; i < 8 && anycast_->sync_reachability(); ++i) {
     events += simulator_.run();
   }
+  sync_control_plane();
+  return events;
+}
+
+void EvolvableInternet::sync_control_plane() {
   bgp_->install_routes();
   for (auto& vnbone : vnbones_) vnbone->rebuild();
   close_episodes();
-  return events;
 }
 
 void EvolvableInternet::notify_link_change(LinkId link) {
@@ -178,9 +182,7 @@ void EvolvableInternet::schedule_control_sync() {
       schedule_control_sync();
       return;
     }
-    bgp_->install_routes();
-    for (auto& vnbone : vnbones_) vnbone->rebuild();
-    close_episodes();
+    sync_control_plane();
   });
 }
 

@@ -132,8 +132,13 @@ class EvolvableInternet {
   void open_bgp_episode(std::uint64_t subject);
   void close_episodes();
 
-  /// Arm a one-shot control-plane sync (BGP route installation + vN-Bone
-  /// rebuilds) at the next simulator quiescence; coalesces repeat calls.
+  /// Install BGP routes into FIBs, rebuild every vN-Bone generation, and
+  /// close the episode spans: the sync converge() and the quiescence
+  /// callback armed by schedule_control_sync() both run.
+  void sync_control_plane();
+
+  /// Arm a one-shot sync_control_plane() at the next simulator quiescence;
+  /// coalesces repeat calls.
   void schedule_control_sync();
 
   Options options_;

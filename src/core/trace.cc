@@ -110,53 +110,56 @@ EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
   return result;
 }
 
+LegPlan plan_legs(const net::Topology& topology,
+                  const vnbone::VnBone::VnRoute& route,
+                  const net::IpvNHeader& inner, HostId dst) {
+  LegPlan plan;
+  plan.legs.reserve(route.vn_hops.size());
+  for (std::size_t i = 0; i + 1 < route.vn_hops.size(); ++i) {
+    const NodeId b = route.vn_hops[i + 1];
+    plan.legs.push_back(Leg{Segment::Kind::kTunnel, route.vn_hops[i],
+                            topology.router(b).loopback, b,
+                            EndToEndTrace::Failure::kTunnelFailed});
+  }
+  // Exit: either a native IPv(N-1) tail to the legacy destination, or
+  // native IPvN delivery at the destination's access router.
+  const NodeId dst_access = topology.host(dst).access_router;
+  if (route.exits_to_legacy) {
+    plan.legs.push_back(Leg{Segment::Kind::kLegacyEgress, route.egress,
+                            inner.legacy_dst, dst_access,
+                            EndToEndTrace::Failure::kEgressFailed});
+  } else if (route.egress != dst_access) {
+    plan.exit_failure = EndToEndTrace::Failure::kEgressFailed;
+  }
+  return plan;
+}
+
 void complete_from_ingress(const EvolvableInternet& internet,
                            const net::IpvNHeader& inner, HostId dst,
                            std::optional<vnbone::EgressMode> mode,
                            EndToEndTrace& result, std::size_t generation) {
   const auto& network = internet.network();
-  const auto& topo = network.topology();
-  const auto& vnbone = internet.generation(generation);
 
-  // Leg 2: the ingress decapsulates and routes over the vN-Bone.
-  result.vn_route = vnbone.route(result.ingress, inner.dst, mode);
+  // The ingress decapsulates and routes over the vN-Bone.
+  result.vn_route = internet.generation(generation).route(result.ingress, inner.dst,
+                                                          mode);
   if (!result.vn_route.ok) {
     result.failure = EndToEndTrace::Failure::kVnRoutingFailed;
     return;
   }
   result.egress = result.vn_route.egress;
-  for (std::size_t i = 0; i + 1 < result.vn_route.vn_hops.size(); ++i) {
-    const NodeId a = result.vn_route.vn_hops[i];
-    const NodeId b = result.vn_route.vn_hops[i + 1];
-    Segment tunnel;
-    tunnel.kind = Segment::Kind::kTunnel;
-    tunnel.trace = network.trace(a, topo.router(b).loopback);
-    result.segments.push_back(tunnel);
-    if (!tunnel.trace.delivered() || tunnel.trace.delivered_at != b) {
-      result.failure = EndToEndTrace::Failure::kTunnelFailed;
+  const LegPlan plan = plan_legs(network.topology(), result.vn_route, inner, dst);
+  for (const Leg& leg : plan.legs) {
+    Segment& segment = result.segments.emplace_back();
+    segment.kind = leg.kind;
+    segment.trace = network.trace(leg.from, leg.outer_dst);
+    if (!segment.trace.delivered() || segment.trace.delivered_at != leg.arrive_at) {
+      result.failure = leg.failure;
       return;
     }
   }
-
-  // Leg 3: exit. Either a native IPv(N-1) tail to the legacy destination,
-  // or native IPvN delivery at the destination's access router.
-  const NodeId dst_access = topo.host(dst).access_router;
-  if (result.vn_route.exits_to_legacy) {
-    Segment egress_seg;
-    egress_seg.kind = Segment::Kind::kLegacyEgress;
-    egress_seg.trace = network.trace(result.egress, inner.legacy_dst);
-    result.segments.push_back(egress_seg);
-    if (!egress_seg.trace.delivered() ||
-        egress_seg.trace.delivered_at != dst_access) {
-      result.failure = EndToEndTrace::Failure::kEgressFailed;
-      return;
-    }
-  } else if (result.egress != dst_access) {
-    result.failure = EndToEndTrace::Failure::kEgressFailed;
-    return;
-  }
-
-  result.delivered = true;
+  result.failure = plan.exit_failure;
+  result.delivered = plan.exit_failure == EndToEndTrace::Failure::kNone;
 }
 
 NodeId register_endhost_route(EvolvableInternet& internet, HostId host) {

@@ -56,6 +56,35 @@ struct EndToEndTrace {
 
 const char* to_string(EndToEndTrace::Failure failure);
 
+/// One leg of the data path past the ingress: an IPv(N-1) packet sent from
+/// `from` toward `outer_dst` that must be delivered at `arrive_at`, or the
+/// datagram fails with `failure`.
+struct Leg {
+  Segment::Kind kind = Segment::Kind::kTunnel;
+  net::NodeId from;
+  net::Ipv4Addr outer_dst;
+  net::NodeId arrive_at;
+  EndToEndTrace::Failure failure = EndToEndTrace::Failure::kNone;
+};
+
+/// The legs an IPvN datagram takes after its ingress, in order: one tunnel
+/// per vN-Bone virtual hop, then the native IPv(N-1) tail when the route
+/// exits to a legacy destination. `exit_failure` is reported once every leg
+/// has arrived: kEgressFailed when the route ends natively at a router other
+/// than the destination's access router, kNone (delivered) otherwise.
+struct LegPlan {
+  std::vector<Leg> legs;
+  EndToEndTrace::Failure exit_failure = EndToEndTrace::Failure::kNone;
+};
+
+/// Plan the legs of `route` (an ok route whose first vN hop is the ingress)
+/// for a datagram with IPvN header `inner` bound for host `dst`. Both
+/// send_ipvn (synchronous traces) and IpvnTransport (simulator events)
+/// walk this plan.
+LegPlan plan_legs(const net::Topology& topology,
+                  const vnbone::VnBone::VnRoute& route,
+                  const net::IpvNHeader& inner, net::HostId dst);
+
 /// Send one IPvN datagram from `src` to `dst` through the full paper
 /// data path. `mode` overrides the configured egress-selection mode.
 EndToEndTrace send_ipvn(const EvolvableInternet& internet, net::HostId src,

@@ -5,129 +5,111 @@ namespace evo::core {
 using net::HostId;
 using net::NodeId;
 
+struct IpvnTransport::Flight {
+  HostId src;
+  HostId dst;
+  std::uint64_t payload_id = 0;
+  net::IpvNHeader inner;
+  sim::TimePoint sent_at;
+  FailureFn on_failure;
+  LegPlan plan;
+  std::size_t next = 0;  // index of the next leg to inject
+};
+
 IpvnTransport::IpvnTransport(EvolvableInternet& internet)
-    : internet_(internet), engine_(internet.simulator(), internet.network()) {}
+    : internet_(internet), engine_(internet.simulator(), internet.network()) {
+  engine_.set_recorder(internet.recorder());
+}
 
 void IpvnTransport::listen(HostId host, ReceiveFn fn) {
   listeners_[host.value()] = std::move(fn);
 }
 
-void IpvnTransport::fail(EndToEndTrace::Failure failure, std::uint64_t payload_id,
-                         const FailureFn& on_failure) {
+void IpvnTransport::fail(EndToEndTrace::Failure failure, const Flight& flight) {
   ++failed_;
-  if (on_failure) on_failure(failure, payload_id);
+  if (flight.on_failure) flight.on_failure(failure, flight.payload_id);
 }
 
-void IpvnTransport::finish(HostId src, HostId dst, std::uint64_t payload_id,
-                           sim::TimePoint sent_at) {
+void IpvnTransport::finish(const Flight& flight) {
   ++received_;
-  const auto it = listeners_.find(dst.value());
+  const auto it = listeners_.find(flight.dst.value());
   if (it != listeners_.end() && it->second) {
-    it->second(src, dst, payload_id, internet_.simulator().now() - sent_at);
+    it->second(flight.src, flight.dst, flight.payload_id,
+               internet_.simulator().now() - flight.sent_at);
   }
 }
 
 void IpvnTransport::send(HostId src, HostId dst, std::uint64_t payload_id,
                          FailureFn on_failure) {
   ++sent_;
-  const auto& vnbone = internet_.vnbone();
-  if (!vnbone.anycast_group().valid()) {
-    fail(EndToEndTrace::Failure::kNoDeployment, payload_id, on_failure);
+  auto flight = std::make_shared<Flight>();
+  flight->src = src;
+  flight->dst = dst;
+  flight->payload_id = payload_id;
+  flight->sent_at = internet_.simulator().now();
+  flight->on_failure = std::move(on_failure);
+  if (!internet_.vnbone().anycast_group().valid()) {
+    fail(EndToEndTrace::Failure::kNoDeployment, *flight);
     return;
   }
   net::Packet packet = internet_.hosts().make_datagram(src, dst, payload_id);
-  const net::IpvNHeader inner = packet.layers().front().vn;
+  flight->inner = packet.layers().front().vn;
   const NodeId src_access = internet_.topology().host(src).access_router;
-  const sim::TimePoint sent_at = internet_.simulator().now();
 
   engine_.inject(
       src_access, std::move(packet),
-      [this, src, dst, payload_id, inner, sent_at, on_failure](
-          NodeId at, const net::Packet&, sim::Duration) {
-        // Leg 1 done: the encapsulated datagram reached an IPvN router.
+      [this, flight](NodeId at, const net::Packet&, sim::Duration) {
+        // The encapsulated datagram reached an IPvN router: it decapsulates
+        // and consults its vN routing state.
         if (!internet_.vnbone().deployed(at)) {
-          fail(EndToEndTrace::Failure::kIngressFailed, payload_id, on_failure);
+          fail(EndToEndTrace::Failure::kIngressFailed, *flight);
           return;
         }
-        // The ingress decapsulates and consults its vN routing state.
-        const auto route = internet_.vnbone().route(at, inner.dst);
+        const auto route = internet_.vnbone().route(at, flight->inner.dst);
         if (!route.ok) {
-          fail(EndToEndTrace::Failure::kVnRoutingFailed, payload_id, on_failure);
+          fail(EndToEndTrace::Failure::kVnRoutingFailed, *flight);
           return;
         }
-        ride_bone(src, dst, payload_id, inner, route, 0, sent_at, on_failure);
+        flight->plan =
+            plan_legs(internet_.topology(), route, flight->inner, flight->dst);
+        next_leg(flight);
       },
-      [this, payload_id, on_failure](net::Network::TraceResult::Outcome, NodeId,
-                                     const net::Packet&) {
-        fail(EndToEndTrace::Failure::kIngressFailed, payload_id, on_failure);
+      [this, flight](net::Network::TraceResult::Outcome, NodeId, const net::Packet&) {
+        fail(EndToEndTrace::Failure::kIngressFailed, *flight);
       });
 }
 
-void IpvnTransport::ride_bone(HostId src, HostId dst, std::uint64_t payload_id,
-                              net::IpvNHeader inner,
-                              vnbone::VnBone::VnRoute route, std::size_t hop_index,
-                              sim::TimePoint sent_at, FailureFn on_failure) {
-  const auto& topo = internet_.topology();
-
-  if (hop_index + 1 < route.vn_hops.size()) {
-    // Next virtual hop: re-encapsulate toward the neighbor's loopback.
-    const NodeId a = route.vn_hops[hop_index];
-    const NodeId b = route.vn_hops[hop_index + 1];
-    net::Packet tunneled;
-    tunneled.push(net::HeaderLayer::ipvn(inner));
-    net::Ipv4Header outer;
-    outer.src = topo.router(a).loopback;
-    outer.dst = topo.router(b).loopback;
-    outer.proto = net::Ipv4Header::Proto::kIpvNEncap;
-    tunneled.push(net::HeaderLayer::ipv4(outer));
-    tunneled.payload_id = payload_id;
-    engine_.inject(
-        a, std::move(tunneled),
-        [this, src, dst, payload_id, inner, route, hop_index, sent_at,
-         on_failure](NodeId, const net::Packet&, sim::Duration) {
-          ride_bone(src, dst, payload_id, inner, route, hop_index + 1, sent_at,
-                    on_failure);
-        },
-        [this, payload_id, on_failure](net::Network::TraceResult::Outcome, NodeId,
-                                       const net::Packet&) {
-          fail(EndToEndTrace::Failure::kTunnelFailed, payload_id, on_failure);
-        });
-    return;
-  }
-
-  // At the egress.
-  const NodeId egress = route.egress;
-  const NodeId dst_access = topo.host(dst).access_router;
-  if (!route.exits_to_legacy) {
-    if (egress == dst_access) {
-      finish(src, dst, payload_id, sent_at);
+void IpvnTransport::next_leg(const std::shared_ptr<Flight>& flight) {
+  if (flight->next == flight->plan.legs.size()) {
+    if (flight->plan.exit_failure == EndToEndTrace::Failure::kNone) {
+      finish(*flight);
     } else {
-      fail(EndToEndTrace::Failure::kEgressFailed, payload_id, on_failure);
+      fail(flight->plan.exit_failure, *flight);
     }
     return;
   }
-  // Native IPv(N-1) tail to the destination host.
-  net::Packet tail;
-  tail.push(net::HeaderLayer::ipvn(inner));
+  const Leg& leg = flight->plan.legs[flight->next++];
+  net::Packet packet;
+  packet.push(net::HeaderLayer::ipvn(flight->inner));
   net::Ipv4Header outer;
-  outer.src = topo.router(egress).loopback;
-  outer.dst = inner.legacy_dst;
+  outer.src = internet_.topology().router(leg.from).loopback;
+  outer.dst = leg.outer_dst;
   outer.proto = net::Ipv4Header::Proto::kIpvNEncap;
-  tail.push(net::HeaderLayer::ipv4(outer));
-  tail.payload_id = payload_id;
+  packet.push(net::HeaderLayer::ipv4(outer));
+  packet.payload_id = flight->payload_id;
   engine_.inject(
-      egress, std::move(tail),
-      [this, src, dst, payload_id, sent_at, dst_access, on_failure](
+      leg.from, std::move(packet),
+      [this, flight, arrive_at = leg.arrive_at, failure = leg.failure](
           NodeId at, const net::Packet&, sim::Duration) {
-        if (at == dst_access) {
-          finish(src, dst, payload_id, sent_at);
+        if (at == arrive_at) {
+          next_leg(flight);
         } else {
-          fail(EndToEndTrace::Failure::kEgressFailed, payload_id, on_failure);
+          fail(failure, *flight);
         }
       },
-      [this, payload_id, on_failure](net::Network::TraceResult::Outcome, NodeId,
-                                     const net::Packet&) {
-        fail(EndToEndTrace::Failure::kEgressFailed, payload_id, on_failure);
+      [this, flight, failure = leg.failure](net::Network::TraceResult::Outcome,
+                                            NodeId, const net::Packet&) {
+        fail(failure, *flight);
       });
 }
 

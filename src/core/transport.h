@@ -2,14 +2,16 @@
 // counterpart of the synchronous tracer in core/trace.h.
 //
 // A datagram rides the full paper data path as simulator events: the
-// encapsulated packet travels hop-by-hop to the anycast ingress, each
-// vN-Bone virtual hop is a v4 tunnel leg, and the egress leg runs
-// natively; link latencies accrue in simulated time. Hosts register
-// receive callbacks; senders may register failure callbacks.
+// encapsulated packet travels hop-by-hop to the anycast ingress, then the
+// legs plan_legs() lays out (one v4 tunnel per vN-Bone virtual hop, then the
+// native egress tail) are injected one after another; link latencies accrue
+// in simulated time. Hosts register receive callbacks; senders may register
+// failure callbacks.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 
 #include "core/evolvable_internet.h"
@@ -27,6 +29,8 @@ class IpvnTransport {
       std::function<void(EndToEndTrace::Failure failure, std::uint64_t payload_id)>;
 
   /// `internet` must outlive the transport and all in-flight datagrams.
+  /// Per-hop packet records go to the recorder attached to `internet` at
+  /// construction, if any.
   explicit IpvnTransport(EvolvableInternet& internet);
 
   /// Register (or replace) the receive callback of `host`. Datagrams for
@@ -43,17 +47,14 @@ class IpvnTransport {
   std::uint64_t datagrams_failed() const { return failed_; }
 
  private:
-  /// Ride the remaining vN-Bone hops (hop_index is the next tunnel to
-  /// take), then the egress leg.
-  void ride_bone(net::HostId src, net::HostId dst, std::uint64_t payload_id,
-                 net::IpvNHeader inner, vnbone::VnBone::VnRoute route,
-                 std::size_t hop_index, sim::TimePoint sent_at,
-                 FailureFn on_failure);
+  /// One datagram in flight: its identity, callbacks and leg plan.
+  struct Flight;
 
-  void finish(net::HostId src, net::HostId dst, std::uint64_t payload_id,
-              sim::TimePoint sent_at);
-  void fail(EndToEndTrace::Failure failure, std::uint64_t payload_id,
-            const FailureFn& on_failure);
+  /// Inject the flight's next planned leg, or finish once all have arrived.
+  void next_leg(const std::shared_ptr<Flight>& flight);
+
+  void finish(const Flight& flight);
+  void fail(EndToEndTrace::Failure failure, const Flight& flight);
 
   EvolvableInternet& internet_;
   net::DeliveryEngine engine_;

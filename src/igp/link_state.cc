@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/logging.h"
-
 namespace evo::igp {
 
 using net::Cost;

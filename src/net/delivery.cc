@@ -28,7 +28,13 @@ void DeliveryEngine::drop(Network::TraceResult::Outcome reason, NodeId at,
 void DeliveryEngine::step(NodeId node, Packet packet, sim::TimePoint injected_at,
                           DeliveredFn on_delivered, DroppedFn on_dropped) {
   const Ipv4Addr dst = packet.outer().v4.dst;
-  if (network_.delivers_locally(node, dst)) {
+  // A packet out of TTL may still be delivered here, but is never looked up.
+  if (packet.outer().v4.ttl == 0 && !network_.delivers_locally(node, dst)) {
+    drop(Network::TraceResult::Outcome::kTtlExpired, node, packet, on_dropped);
+    return;
+  }
+  const Network::Step hop = network_.forward_step(node, dst);
+  if (hop.action == Network::Step::Action::kDeliver) {
     ++delivered_;
     if (recorder_ != nullptr) {
       recorder_->instant(
@@ -39,28 +45,14 @@ void DeliveryEngine::step(NodeId node, Packet packet, sim::TimePoint injected_at
     on_delivered(node, packet, simulator_.now() - injected_at);
     return;
   }
-  if (packet.outer().v4.ttl == 0) {
-    drop(Network::TraceResult::Outcome::kTtlExpired, node, packet, on_dropped);
+  if (hop.action == Network::Step::Action::kDrop) {
+    drop(hop.drop_reason, node, packet, on_dropped);
     return;
-  }
-  const FibEntry* entry = network_.compiled_fib(node).lookup(dst);
-  if (entry == nullptr || !entry->next_hop.valid()) {
-    drop(Network::TraceResult::Outcome::kNoRoute, node, packet, on_dropped);
-    return;
-  }
-  sim::Duration latency = sim::Duration::millis(1);
-  const LinkId out_link = entry->out_link;
-  if (out_link.valid()) {
-    const Link& link = network_.topology().link(out_link);
-    if (!network_.topology().link_usable(out_link)) {
-      drop(Network::TraceResult::Outcome::kLinkDown, node, packet, on_dropped);
-      return;
-    }
-    latency = link.latency;
   }
   --packet.outer().v4.ttl;
   ++hops_forwarded_;
-  const NodeId next = entry->next_hop;
+  const NodeId next = hop.next;
+  const LinkId out_link = hop.link;
   if (recorder_ != nullptr) {
     recorder_->instant(obs::Domain::kNet, "net.pkt.hop", node.value(),
                        next.value());
@@ -82,7 +74,7 @@ void DeliveryEngine::step(NodeId node, Packet packet, sim::TimePoint injected_at
   // EventFn's inline buffer is sized for exactly this capture: per-hop
   // scheduling must never heap-allocate the continuation.
   static_assert(sizeof(continuation) <= sim::EventFn::inline_capacity);
-  simulator_.schedule_after(latency, std::move(continuation));
+  simulator_.schedule_after(hop.latency, std::move(continuation));
 }
 
 }  // namespace evo::net

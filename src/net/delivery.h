@@ -1,7 +1,7 @@
 // Event-driven packet forwarding: packets move hop-by-hop through the
-// simulator, accruing link latencies and decrementing TTL — the
-// latency-accurate counterpart of Network::trace (which is synchronous
-// and cost-only).
+// simulator, accruing link latencies and decrementing TTL. Each hop is one
+// Network::forward_step, the same decision Network::trace loops over
+// synchronously.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "net/fib.h"
 
-#include <functional>
-#include <unordered_map>
+#include <algorithm>
 
 namespace evo::net {
 
@@ -16,67 +15,38 @@ const char* to_string(RouteOrigin origin) {
   return "?";
 }
 
-struct Fib::TrieNode {
-  std::unique_ptr<TrieNode> child[2];
-  std::optional<FibEntry> entry;
-};
-
-Fib::Fib() : root_(std::make_unique<TrieNode>()) {}
-Fib::~Fib() = default;
-Fib::Fib(Fib&&) noexcept = default;
-Fib& Fib::operator=(Fib&&) noexcept = default;
-
 namespace {
 
-/// Bit `i` (0 = most significant) of an address.
-inline unsigned bit_at(Ipv4Addr addr, unsigned i) {
-  return (addr.bits() >> (31 - i)) & 1u;
-}
+bool prefix_below(const FibEntry& e, const Prefix& p) { return e.prefix < p; }
+bool prefix_less(const FibEntry& a, const FibEntry& b) { return a.prefix < b.prefix; }
+bool same_prefix(const FibEntry& a, const FibEntry& b) { return a.prefix == b.prefix; }
 
 }  // namespace
 
 void Fib::insert(const FibEntry& entry) {
-  TrieNode* node = root_.get();
-  for (unsigned i = 0; i < entry.prefix.length(); ++i) {
-    const unsigned b = bit_at(entry.prefix.address(), i);
-    if (!node->child[b]) node->child[b] = std::make_unique<TrieNode>();
-    node = node->child[b].get();
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), entry.prefix, prefix_below);
+  if (it != entries_.end() && it->prefix == entry.prefix) {
+    if (*it == entry) return;  // no-op: keep the epoch
+    *it = entry;
+  } else {
+    entries_.insert(it, entry);
   }
-  if (node->entry && *node->entry == entry) return;  // no-op: keep the epoch
-  if (!node->entry) ++size_;
-  node->entry = entry;
   ++epoch_;
 }
 
 bool Fib::remove(const Prefix& prefix) {
-  TrieNode* node = root_.get();
-  for (unsigned i = 0; i < prefix.length(); ++i) {
-    const unsigned b = bit_at(prefix.address(), i);
-    if (!node->child[b]) return false;
-    node = node->child[b].get();
-  }
-  if (!node->entry) return false;
-  node->entry.reset();
-  --size_;
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), prefix, prefix_below);
+  if (it == entries_.end() || it->prefix != prefix) return false;
+  entries_.erase(it);
   ++epoch_;
-  // Dangling interior nodes are left in place; they are reclaimed on
-  // clear(). This keeps remove() O(length) with no parent tracking.
   return true;
 }
 
 std::size_t Fib::remove_origin(RouteOrigin origin) {
-  std::size_t removed = 0;
-  std::function<void(TrieNode*)> walk = [&](TrieNode* node) {
-    if (node->entry && node->entry->origin == origin) {
-      node->entry.reset();
-      --size_;
-      ++removed;
-    }
-    for (auto& child : node->child) {
-      if (child) walk(child.get());
-    }
-  };
-  walk(root_.get());
+  const std::size_t removed =
+      std::erase_if(entries_, [&](const FibEntry& e) { return e.origin == origin; });
   if (removed > 0) ++epoch_;
   return removed;
 }
@@ -84,91 +54,84 @@ std::size_t Fib::remove_origin(RouteOrigin origin) {
 void Fib::replace_origins(std::initializer_list<RouteOrigin> origins,
                           std::span<const FibEntry> entries) {
   const auto in_set = [&](RouteOrigin origin) {
-    for (const RouteOrigin o : origins) {
-      if (o == origin) return true;
-    }
-    return false;
+    return std::find(origins.begin(), origins.end(), origin) != origins.end();
   };
 
-  // Desired table for these origins; a later duplicate prefix wins, exactly
-  // as repeated insert() calls would behave.
-  std::unordered_map<Prefix, const FibEntry*> desired;
-  desired.reserve(entries.size());
-  for (const FibEntry& e : entries) desired[e.prefix] = &e;
+  // Desired table for these origins in prefix order; a later duplicate
+  // prefix wins, exactly as repeated insert() calls would behave.
+  std::vector<FibEntry> desired(entries.begin(), entries.end());
+  std::stable_sort(desired.begin(), desired.end(), prefix_less);
+  // Unique over the reversed range keeps the last entry of each equal run.
+  const auto first_kept = std::unique(desired.rbegin(), desired.rend(), same_prefix);
+  desired.erase(desired.begin(), first_kept.base());
 
-  // No-op detection: every existing entry of these origins must appear in
-  // `desired` with identical contents, and the counts must match. When so,
-  // skip the rebuild and leave the epoch — compiled state stays valid.
-  std::size_t existing = 0;
+  // No-op detection: the existing entries of these origins, in order, must
+  // equal `desired`. When so, leave the epoch — compiled state stays valid.
+  std::size_t matched = 0;
   bool identical = true;
-  for_each([&](const FibEntry& e) {
-    if (!in_set(e.origin)) return;
-    ++existing;
-    const auto it = desired.find(e.prefix);
-    if (it == desired.end() || !(*it->second == e)) identical = false;
-  });
-  if (identical && existing == desired.size()) return;
+  for (const FibEntry& e : entries_) {
+    if (!in_set(e.origin)) continue;
+    if (matched == desired.size() || !(desired[matched] == e)) {
+      identical = false;
+      break;
+    }
+    ++matched;
+  }
+  if (identical && matched == desired.size()) return;
 
-  for (const RouteOrigin o : origins) remove_origin(o);
-  for (const FibEntry& e : entries) insert(e);
+  // Merge the other origins' entries with `desired`; a desired entry
+  // overwrites another origin's entry for the same prefix.
+  std::vector<FibEntry> merged;
+  merged.reserve(entries_.size() + desired.size());
+  auto next = desired.begin();
+  for (const FibEntry& e : entries_) {
+    if (in_set(e.origin)) continue;
+    while (next != desired.end() && next->prefix < e.prefix) merged.push_back(*next++);
+    if (next != desired.end() && next->prefix == e.prefix) continue;
+    merged.push_back(e);
+  }
+  merged.insert(merged.end(), next, desired.end());
+  entries_ = std::move(merged);
+  ++epoch_;
 }
 
 const FibEntry* Fib::lookup(Ipv4Addr addr) const {
-  const TrieNode* node = root_.get();
-  const FibEntry* best = node->entry ? &*node->entry : nullptr;
-  for (unsigned i = 0; i < 32 && node; ++i) {
-    const unsigned b = bit_at(addr, i);
-    node = node->child[b].get();
-    if (node && node->entry) best = &*node->entry;
+  // Linear scan; entries past `addr` start above it and cannot cover it.
+  const FibEntry* best = nullptr;
+  for (const FibEntry& e : entries_) {
+    if (e.prefix.address() > addr) break;
+    if (e.prefix.contains(addr) &&
+        (best == nullptr || e.prefix.length() > best->prefix.length())) {
+      best = &e;
+    }
   }
   return best;
 }
 
 const FibEntry* Fib::find(const Prefix& prefix) const {
-  const TrieNode* node = root_.get();
-  for (unsigned i = 0; i < prefix.length(); ++i) {
-    const unsigned b = bit_at(prefix.address(), i);
-    if (!node->child[b]) return nullptr;
-    node = node->child[b].get();
-  }
-  return node->entry ? &*node->entry : nullptr;
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), prefix, prefix_below);
+  return it != entries_.end() && it->prefix == prefix ? &*it : nullptr;
 }
 
 void Fib::for_each(const std::function<void(const FibEntry&)>& fn) const {
-  // Pre-order DFS, child[0] before child[1]: yields entries sorted by
-  // address, with a covering (shorter) prefix before the prefixes nested
-  // inside it — the order CompiledFib's range sweep requires.
-  std::function<void(const TrieNode*)> walk = [&](const TrieNode* node) {
-    if (node->entry) fn(*node->entry);
-    for (const auto& child : node->child) {
-      if (child) walk(child.get());
-    }
-  };
-  walk(root_.get());
+  for (const FibEntry& e : entries_) fn(e);
 }
 
 std::size_t Fib::size_with_origin(RouteOrigin origin) const {
-  std::size_t count = 0;
-  for_each([&](const FibEntry& e) { count += e.origin == origin; });
-  return count;
-}
-
-std::vector<FibEntry> Fib::entries() const {
-  std::vector<FibEntry> out;
-  out.reserve(size_);
-  for_each([&](const FibEntry& e) { out.push_back(e); });
-  return out;
+  return static_cast<std::size_t>(std::count_if(
+      entries_.begin(), entries_.end(),
+      [&](const FibEntry& e) { return e.origin == origin; }));
 }
 
 void Fib::clear() {
-  root_ = std::make_unique<TrieNode>();
-  if (size_ > 0) ++epoch_;
-  size_ = 0;
+  if (!entries_.empty()) ++epoch_;
+  entries_.clear();
 }
 
 std::string Fib::dump() const {
   std::string out;
-  for (const auto& e : entries()) {
+  for (const FibEntry& e : entries_) {
     out += e.prefix.to_string();
     out += " -> ";
     out += e.next_hop.valid() ? ("node " + std::to_string(e.next_hop.value()))

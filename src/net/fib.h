@@ -1,4 +1,5 @@
-// Forwarding Information Base: longest-prefix-match over a binary trie.
+// Forwarding Information Base: the ordered route store each router's
+// control plane writes.
 //
 // Each router holds one Fib for IPv(N-1) forwarding. Entries record where
 // a route came from (connected / IGP / BGP / anycast) so experiments can
@@ -10,8 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,16 +41,13 @@ struct FibEntry {
   friend bool operator==(const FibEntry&, const FibEntry&) = default;
 };
 
-/// Binary-trie FIB with longest-prefix-match lookup.
+/// Route store: one vector of entries sorted by prefix (address, then
+/// length). That order is a binary trie's pre-order, so a covering prefix
+/// precedes the prefixes nested inside it — the order CompiledFib's range
+/// sweep requires. The data plane forwards through CompiledFib, never
+/// through lookup() here.
 class Fib {
  public:
-  Fib();
-  ~Fib();
-  Fib(Fib&&) noexcept;
-  Fib& operator=(Fib&&) noexcept;
-  Fib(const Fib&) = delete;
-  Fib& operator=(const Fib&) = delete;
-
   /// Insert or replace the entry for `entry.prefix`.
   void insert(const FibEntry& entry);
 
@@ -63,29 +59,28 @@ class Fib {
 
   /// Make the set of entries whose origin is in `origins` exactly equal to
   /// `entries` (each of which must carry an origin from `origins`; a later
-  /// duplicate prefix wins). The route epoch is bumped only when the table
-  /// actually changes, so a control-plane sync that reinstalls an identical
-  /// table leaves compiled forwarding state valid.
+  /// duplicate prefix wins, and an entry overwrites a same-prefix entry of
+  /// another origin, as insert() would). The route epoch is bumped only
+  /// when the table actually changes, so a control-plane sync that
+  /// reinstalls an identical table leaves compiled forwarding state valid.
   void replace_origins(std::initializer_list<RouteOrigin> origins,
                        std::span<const FibEntry> entries);
 
-  /// Longest-prefix match; nullptr when no route covers `addr`.
+  /// Reference longest-prefix match (a linear scan); nullptr when no route
+  /// covers `addr`. The kFibEquivalence oracle checks CompiledFib against it.
   const FibEntry* lookup(Ipv4Addr addr) const;
 
   /// Exact-prefix fetch (no LPM); nullptr if absent.
   const FibEntry* find(const Prefix& prefix) const;
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return entries_.size(); }
   std::size_t size_with_origin(RouteOrigin origin) const;
 
-  /// Visit every entry in trie (prefix) order — sorted by address, shorter
-  /// prefixes before the longer ones they contain — without materializing a
-  /// copy of the table (unlike entries()).
+  /// Visit every entry in prefix order.
   void for_each(const std::function<void(const FibEntry&)>& fn) const;
 
-  /// All entries, in trie (prefix) order. Copies the table; prefer
-  /// for_each() for counting or scanning.
-  std::vector<FibEntry> entries() const;
+  /// All entries, in prefix order. Valid until the next mutation.
+  const std::vector<FibEntry>& entries() const { return entries_; }
 
   void clear();
 
@@ -100,9 +95,7 @@ class Fib {
   std::string dump() const;
 
  private:
-  struct TrieNode;
-  std::unique_ptr<TrieNode> root_;
-  std::size_t size_ = 0;
+  std::vector<FibEntry> entries_;  // sorted by prefix, unique prefixes
   std::uint64_t epoch_ = 1;
 };
 

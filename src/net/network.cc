@@ -84,6 +84,35 @@ Network::TraceResult Network::trace(NodeId from, Ipv4Addr dst,
   return result;
 }
 
+Network::Step Network::forward_step(NodeId node, Ipv4Addr dst) const {
+  Step step;
+  if (delivers_locally(node, dst)) {
+    step.action = Step::Action::kDeliver;
+    return step;
+  }
+  const FibEntry* entry = compiled_fib(node).lookup(dst);
+  ++forwarding_stats_.lookups;
+  // A local-delivery entry that didn't match delivers_locally means a
+  // stale route; treat both as no-route.
+  if (entry == nullptr || !entry->next_hop.valid()) return step;
+  if (entry->out_link.valid() && !topology_.link_usable(entry->out_link)) {
+    step.drop_reason = TraceResult::Outcome::kLinkDown;
+    return step;
+  }
+  step.action = Step::Action::kForward;
+  step.next = entry->next_hop;
+  step.link = entry->out_link;
+  if (entry->out_link.valid()) {
+    const Link& link = topology_.link(entry->out_link);
+    step.cost = link.cost;
+    step.latency = link.latency;
+  } else {
+    step.cost = 1;
+    step.latency = sim::Duration::millis(1);
+  }
+  return step;
+}
+
 void Network::trace_into(NodeId from, Ipv4Addr dst, unsigned max_hops,
                          TraceResult& result) const {
   result.outcome = TraceResult::Outcome::kNoRoute;
@@ -95,40 +124,29 @@ void Network::trace_into(NodeId from, Ipv4Addr dst, unsigned max_hops,
   ++forwarding_stats_.traces;
 
   // Loop detection via generation marking: one counter bump replaces a
-  // per-trace hash-set allocation.
+  // per-trace hash-set allocation. A revisited node did not deliver the
+  // first time and, since tracing changes no state, cannot now: it is a loop.
   const std::uint64_t gen = ++visit_gen_;
   NodeId current = from;
   for (unsigned hop = 0; hop <= max_hops; ++hop) {
-    if (delivers_locally(current, dst)) {
-      result.outcome = TraceResult::Outcome::kDelivered;
-      result.delivered_at = current;
-      return;
-    }
     if (visit_mark_[current.value()] == gen) {
       result.outcome = TraceResult::Outcome::kForwardingLoop;
       return;
     }
     visit_mark_[current.value()] = gen;
-    const FibEntry* entry = compiled_fib(current).lookup(dst);
-    ++forwarding_stats_.lookups;
-    if (entry == nullptr || !entry->next_hop.valid()) {
-      // A local-delivery entry that didn't match delivers_locally means a
-      // stale route; treat both as no-route.
-      result.outcome = TraceResult::Outcome::kNoRoute;
+    const Step step = forward_step(current, dst);
+    if (step.action == Step::Action::kDeliver) {
+      result.outcome = TraceResult::Outcome::kDelivered;
+      result.delivered_at = current;
       return;
     }
-    if (entry->out_link.valid()) {
-      const Link& link = topology_.link(entry->out_link);
-      if (!topology_.link_usable(entry->out_link)) {
-        result.outcome = TraceResult::Outcome::kLinkDown;
-        return;
-      }
-      result.cost += link.cost;
-      result.latency += link.latency;
-    } else {
-      result.cost += 1;  // next hop known but link identity elided
+    if (step.action == Step::Action::kDrop) {
+      result.outcome = step.drop_reason;
+      return;
     }
-    current = entry->next_hop;
+    result.cost += step.cost;
+    result.latency += step.latency;
+    current = step.next;
     result.hops.push_back(current);
   }
   result.outcome = TraceResult::Outcome::kTtlExpired;

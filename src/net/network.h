@@ -1,14 +1,17 @@
 // The IPv(N-1) data plane: per-router FIBs and hop-by-hop forwarding.
 //
 // The control plane (IGP, BGP, anycast advertisement) runs event-driven in
-// the simulator and *installs* routes here; tracing a packet is then a
-// synchronous FIB walk, cheap enough for millions of probes per benchmark.
+// the simulator and *installs* routes here. Every per-hop forwarding
+// decision is one forward_step(); tracing a packet is a synchronous loop
+// over it, cheap enough for millions of probes per benchmark, and
+// DeliveryEngine drives the same step through simulator events.
 //
-// Forwarding is two-tier: each router's binary-trie Fib is the mutable
+// Forwarding is two-tier: each router's sorted Fib is the mutable
 // authoritative store, and a flat CompiledFib is compiled from it lazily
 // (per router, on first use after the Fib's route epoch moves) and consulted
-// on every trace hop. IGP SPF runs, DV updates, BGP installs and anycast
-// membership changes all invalidate transparently by bumping the epoch.
+// on every forwarding step. IGP SPF runs, DV updates, BGP installs and
+// anycast membership changes all invalidate transparently by bumping the
+// epoch.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +73,26 @@ class Network {
     std::size_t hop_count() const { return hops.empty() ? 0 : hops.size() - 1; }
   };
 
+  /// One forwarding decision at `node` for a packet addressed to `dst`:
+  /// deliver here, drop for `drop_reason`, or forward to `next` over `link`
+  /// at `cost` and `latency`. A route whose link identity is elided
+  /// (`link` invalid) costs 1 and takes 1 ms.
+  struct Step {
+    enum class Action : std::uint8_t { kDeliver, kDrop, kForward };
+    Action action = Action::kDrop;
+    TraceResult::Outcome drop_reason = TraceResult::Outcome::kNoRoute;
+    NodeId next;
+    LinkId link;
+    Cost cost = 0;
+    sim::Duration latency;
+  };
+
+  /// The per-hop decision both forwarding loops share: trace_into()
+  /// (synchronous; loops caught by visit marks, bounded by max_hops) and
+  /// DeliveryEngine (event-driven; TTL and an arrival re-check). Does the
+  /// one compiled-FIB lookup and counts it in forwarding_stats().lookups.
+  Step forward_step(NodeId node, Ipv4Addr dst) const;
+
   /// Walk FIBs from `from` toward `dst`. Deterministic and observably
   /// side-effect free (internally it refreshes the per-router compiled
   /// forwarding caches).
@@ -99,7 +122,7 @@ class Network {
   /// Data-plane counters: how the compiled forwarding tier behaves.
   struct ForwardingStats {
     std::uint64_t traces = 0;        // trace/trace_into invocations
-    std::uint64_t lookups = 0;       // per-hop LPM lookups
+    std::uint64_t lookups = 0;       // forward_step LPM lookups (trace + engine)
     std::uint64_t fib_compiles = 0;  // CompiledFib rebuilds (epoch misses)
     std::uint64_t cache_hits = 0;    // hops served by an already-fresh table
   };

@@ -45,7 +45,7 @@ class Simulator {
   std::uint64_t events_processed() const { return processed_; }
 
   /// Stable pointer to the simulated clock, for telemetry consumers that
-  /// stamp records with sim time (obs::Recorder::attach_clock, Logger).
+  /// stamp records with sim time (obs::Recorder::attach_clock).
   const TimePoint* clock() const { return &now_; }
 
   /// Attach (or detach, with nullptr) a telemetry recorder: the recorder's

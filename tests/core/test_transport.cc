@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "net/topology_gen.h"
 
 namespace evo::core {
@@ -65,26 +70,91 @@ TEST(IpvnTransport, FailsWithoutDeployment) {
   EXPECT_EQ(transport.datagrams_failed(), 1u);
 }
 
+/// What one delivery path reports for one datagram: the failure (kNone when
+/// delivered), the latency of a delivery, and the router each leg — the
+/// anycast ingress, every tunnel, the egress tail — was delivered at.
+struct SendResult {
+  EndToEndTrace::Failure failure = EndToEndTrace::Failure::kNone;
+  sim::Duration latency;
+  std::vector<net::NodeId> arrivals;
+};
+
+/// Send one datagram per ordered host pair through send_ipvn and through
+/// IpvnTransport; both walk one leg plan and must agree.
+void expect_trace_and_transport_agree(EvolvableInternet& internet) {
+  obs::Recorder recorder;
+  recorder.set_capture_all(true);
+  internet.set_recorder(&recorder);
+  SendResult sent;
+  IpvnTransport transport(internet);
+  for (const auto& h : internet.topology().hosts()) {
+    transport.listen(h.id, [&](HostId, HostId, std::uint64_t, sim::Duration elapsed) {
+      sent.latency = elapsed;
+    });
+  }
+  std::size_t delivered = 0;
+  for (const auto& src : internet.topology().hosts()) {
+    for (const auto& dst : internet.topology().hosts()) {
+      if (src.id == dst.id) continue;
+      SCOPED_TRACE("host " + std::to_string(src.id.value()) + " -> host " +
+                   std::to_string(dst.id.value()));
+      SendResult traced;
+      const auto trace = send_ipvn(internet, src.id, dst.id);
+      traced.failure = trace.failure;
+      for (const auto& segment : trace.segments) {
+        traced.latency += segment.trace.latency;
+        if (segment.trace.delivered()) {
+          traced.arrivals.push_back(segment.trace.delivered_at);
+        }
+      }
+
+      sent = SendResult{};
+      recorder.clear();
+      transport.send(src.id, dst.id, 0,
+                     [&](EndToEndTrace::Failure failure, std::uint64_t) {
+                       sent.failure = failure;
+                     });
+      internet.simulator().run();
+      for (const obs::Event& e : recorder.log()) {
+        if (std::string_view(e.name) == "net.pkt.delivered") {
+          sent.arrivals.push_back(net::NodeId{static_cast<std::uint32_t>(e.a)});
+        }
+      }
+
+      EXPECT_EQ(sent.failure, traced.failure) << to_string(traced.failure);
+      EXPECT_EQ(sent.arrivals, traced.arrivals);
+      if (trace.delivered) {
+        ++delivered;
+        EXPECT_EQ(sent.latency, traced.latency);
+      }
+    }
+  }
+  internet.set_recorder(nullptr);
+  EXPECT_GT(delivered, 0u);
+}
+
 TEST(IpvnTransport, LatencyMatchesTraceTopology) {
   // The event-driven latency must equal the sum of per-link latencies
-  // along the synchronous trace's segments.
+  // along the synchronous trace's segments, for every host pair.
   Fixture f;
   f.internet->deploy_domain(DomainId{0});
+  f.internet->deploy_domain(DomainId{3});  // a second domain: vN-Bone tunnels
   f.internet->converge();
-  const auto trace = send_ipvn(*f.internet, HostId{0}, HostId{5});
-  ASSERT_TRUE(trace.delivered);
-  sim::Duration expected = sim::Duration::zero();
-  for (const auto& segment : trace.segments) expected += segment.trace.latency;
+  expect_trace_and_transport_agree(*f.internet);
+}
 
-  IpvnTransport transport(*f.internet);
-  sim::Duration measured;
-  transport.listen(HostId{5},
-                   [&](HostId, HostId, std::uint64_t, sim::Duration elapsed) {
-                     measured = elapsed;
-                   });
-  transport.send(HostId{0}, HostId{5});
-  f.internet->simulator().run();
-  EXPECT_EQ(measured, expected);
+TEST(IpvnTransport, AgreesWithTraceAfterInterdomainLinkFailure) {
+  Fixture f;
+  f.internet->deploy_domain(DomainId{0});
+  f.internet->deploy_domain(DomainId{3});  // a second domain: vN-Bone tunnels
+  f.internet->converge();
+  const auto& links = f.internet->topology().links();
+  const auto failed = std::find_if(links.begin(), links.end(),
+                                   [](const net::Link& l) { return l.interdomain; });
+  ASSERT_NE(failed, links.end());
+  ASSERT_TRUE(f.internet->set_link_up(failed->id, false));
+  f.internet->converge();
+  expect_trace_and_transport_agree(*f.internet);
 }
 
 TEST(IpvnTransport, ManyDatagramsAllPairs) {

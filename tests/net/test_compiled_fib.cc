@@ -1,7 +1,7 @@
 // Differential property tests: CompiledFib (flat range LPM) against the
-// authoritative binary trie, over randomized prefix sets — inserts,
-// removals, origin flushes, overlapping prefixes, default routes — and
-// across epoch-invalidated recompiles. The trie itself is differentially
+// authoritative Fib's reference lookup, over randomized prefix sets —
+// inserts, removals, origin flushes, overlapping prefixes, default routes —
+// and across epoch-invalidated recompiles. The Fib itself is differentially
 // tested against a brute-force reference in test_fib_differential.cc, so
 // agreement here closes the chain back to first principles.
 #include <gtest/gtest.h>
@@ -32,18 +32,18 @@ Prefix random_prefix(sim::Rng& rng) {
   return Prefix{Ipv4Addr{bits}, length};
 }
 
-/// The compiled table must agree with the trie on every probe: same
+/// The compiled table must agree with the Fib on every probe: same
 /// hit/miss, and the identical winning entry.
 void expect_agreement(const Fib& fib, const CompiledFib& compiled,
                       sim::Rng& rng, int probes) {
   for (int i = 0; i < probes; ++i) {
     const Ipv4Addr addr{static_cast<std::uint32_t>(rng.next_u64())};
-    const FibEntry* from_trie = fib.lookup(addr);
+    const FibEntry* from_fib = fib.lookup(addr);
     const FibEntry* from_flat = compiled.lookup(addr);
-    ASSERT_EQ(from_trie != nullptr, from_flat != nullptr)
+    ASSERT_EQ(from_fib != nullptr, from_flat != nullptr)
         << "addr " << addr.to_string();
-    if (from_trie != nullptr) {
-      EXPECT_EQ(*from_trie, *from_flat) << "addr " << addr.to_string();
+    if (from_fib != nullptr) {
+      EXPECT_EQ(*from_fib, *from_flat) << "addr " << addr.to_string();
     }
   }
   // Boundary probes: the first/last address of every compiled entry's
@@ -56,12 +56,12 @@ void expect_agreement(const Fib& fib, const CompiledFib& compiled,
             : static_cast<std::uint32_t>(
                   (std::uint64_t{1} << (32 - e.prefix.length())) - 1);
     for (const Ipv4Addr addr : {Ipv4Addr{lo}, Ipv4Addr{lo + span}}) {
-      const FibEntry* from_trie = fib.lookup(addr);
+      const FibEntry* from_fib = fib.lookup(addr);
       const FibEntry* from_flat = compiled.lookup(addr);
-      ASSERT_EQ(from_trie != nullptr, from_flat != nullptr)
+      ASSERT_EQ(from_fib != nullptr, from_flat != nullptr)
           << "boundary " << addr.to_string();
-      if (from_trie != nullptr) {
-        EXPECT_EQ(*from_trie, *from_flat);
+      if (from_fib != nullptr) {
+        EXPECT_EQ(*from_fib, *from_flat);
       }
     }
   });

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string_view>
+#include <vector>
+
 #include "igp/link_state.h"
 #include "net/topology_gen.h"
 
@@ -151,6 +155,75 @@ TEST(DeliveryEngine, PayloadIdSurvives) {
                   });
   f.simulator.run();
   EXPECT_TRUE(checked);
+}
+
+TEST(DeliveryEngine, HopsMatchSynchronousTrace) {
+  // Trace and engine both run Network::forward_step: the engine's net.pkt.hop
+  // records must retrace Network::trace hop for hop and end the same way.
+  // A loop is caught by visit marks in the trace and by TTL in the engine.
+  using Outcome = Network::TraceResult::Outcome;
+  Fixture f(5, sim::Duration::millis(2));
+  const Prefix looped{Ipv4Addr{0, 98, 0, 0}, 16};
+  f.network.fib(NodeId{0}).insert(
+      FibEntry{looped, NodeId{1}, LinkId{0}, RouteOrigin::kStatic, 1});
+  f.network.fib(NodeId{1}).insert(
+      FibEntry{looped, NodeId{0}, LinkId{0}, RouteOrigin::kStatic, 1});
+  obs::Recorder recorder;
+  recorder.set_capture_all(true);
+  f.engine.set_recorder(&recorder);
+
+  struct Case {
+    const char* name;
+    Ipv4Addr dst;
+    Outcome trace_outcome;
+    Outcome engine_outcome;
+  };
+  const Ipv4Addr far_end = f.network.topology().router(NodeId{4}).loopback;
+  const Case cases[] = {
+      {"delivered", far_end, Outcome::kDelivered, Outcome::kDelivered},
+      {"no-route", Ipv4Addr{0, 99, 0, 1}, Outcome::kNoRoute, Outcome::kNoRoute},
+      {"loop", Ipv4Addr{0, 98, 0, 1}, Outcome::kForwardingLoop, Outcome::kTtlExpired},
+      // Silently failed: the FIBs still point into the dead last link.
+      {"link-down", far_end, Outcome::kLinkDown, Outcome::kLinkDown},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    if (c.trace_outcome == Outcome::kLinkDown) {
+      f.network.topology().set_link_up(LinkId{3}, false);
+    }
+    const auto trace = f.network.trace(NodeId{0}, c.dst);
+    EXPECT_EQ(trace.outcome, c.trace_outcome);
+
+    recorder.clear();
+    Packet p;
+    Ipv4Header h;
+    h.dst = c.dst;
+    h.ttl = 8;
+    p.push(HeaderLayer::ipv4(h));
+    std::optional<Outcome> engine_outcome;
+    f.engine.inject(
+        NodeId{0}, std::move(p),
+        [&](NodeId, const Packet&, sim::Duration) {
+          engine_outcome = Outcome::kDelivered;
+        },
+        [&](Outcome reason, NodeId, const Packet&) { engine_outcome = reason; });
+    f.simulator.run();
+    EXPECT_EQ(engine_outcome, c.engine_outcome);
+
+    std::vector<NodeId> engine_hops = {NodeId{0}};
+    for (const obs::Event& e : recorder.log()) {
+      if (std::string_view(e.name) != "net.pkt.hop") continue;
+      EXPECT_EQ(NodeId{static_cast<std::uint32_t>(e.a)}, engine_hops.back());
+      engine_hops.push_back(NodeId{static_cast<std::uint32_t>(e.b)});
+    }
+    if (c.trace_outcome == Outcome::kForwardingLoop) {
+      // The engine keeps circling until TTL runs out; the trace stops at
+      // the first revisit.
+      ASSERT_GE(engine_hops.size(), trace.hops.size());
+      engine_hops.resize(trace.hops.size());
+    }
+    EXPECT_EQ(engine_hops, trace.hops);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace evo::net {
@@ -217,6 +218,42 @@ TEST(Fib, ReplaceOriginsIdenticalTableKeepsEpoch) {
                       });
   EXPECT_GT(fib.epoch(), before);
   EXPECT_EQ(fib.lookup(Ipv4Addr{10, 1, 0, 1}), nullptr);
+}
+
+TEST(Fib, ReplaceOriginsOverwritesOtherOriginsLikeInsert) {
+  const std::vector<FibEntry> table = {
+      entry("10.1.0.0/16", 4, RouteOrigin::kIgp),
+      entry("10.0.0.0/8", 5, RouteOrigin::kAnycast),
+      entry("10.1.0.0/16", 6, RouteOrigin::kIgp),  // later duplicate wins
+  };
+  Fib replaced;
+  Fib inserted;
+  for (Fib* fib : {&replaced, &inserted}) {
+    fib->insert(entry("10.1.0.0/16", 1, RouteOrigin::kBgp));
+    fib->insert(entry("10.2.0.0/16", 2, RouteOrigin::kBgp));
+  }
+  replaced.replace_origins({RouteOrigin::kIgp, RouteOrigin::kAnycast}, table);
+  for (const FibEntry& e : table) inserted.insert(e);
+
+  EXPECT_EQ(replaced.entries(), inserted.entries());
+  ASSERT_EQ(replaced.size(), 3u);
+  const FibEntry* overwritten = replaced.find(*Prefix::parse("10.1.0.0/16"));
+  ASSERT_NE(overwritten, nullptr);
+  EXPECT_EQ(overwritten->origin, RouteOrigin::kIgp);
+  EXPECT_EQ(overwritten->next_hop, NodeId{6});
+}
+
+TEST(Fib, ForEachYieldsAddressThenLengthOrder) {
+  Fib fib;
+  for (const char* p : {"192.168.0.0/16", "10.1.2.0/24", "10.128.0.0/9", "0.0.0.0/0",
+                        "10.1.0.0/16", "10.0.0.0/16", "10.0.0.0/8"}) {
+    fib.insert(entry(p, 1));
+  }
+  std::vector<std::string> order;
+  fib.for_each([&](const FibEntry& e) { order.push_back(e.prefix.to_string()); });
+  EXPECT_EQ(order, (std::vector<std::string>{"0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16",
+                                             "10.1.0.0/16", "10.1.2.0/24",
+                                             "10.128.0.0/9", "192.168.0.0/16"}));
 }
 
 TEST(Fib, MoveSemantics) {

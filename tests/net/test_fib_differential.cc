@@ -1,10 +1,14 @@
-// Differential property test: the binary-trie FIB against a brute-force
-// longest-prefix-match reference, over randomized prefix sets and
-// lookups, including inserts, replacements, and removals.
+// Differential property test: the sorted-vector FIB store against a
+// brute-force std::map reference, over randomized prefix sets and lookups,
+// including inserts, replacements, and removals. Both the LPM answers and
+// the stored entries (in prefix order) must match.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "net/fib.h"
 #include "sim/random.h"
@@ -18,6 +22,16 @@ class ReferenceFib {
   void insert(const FibEntry& entry) { entries_[entry.prefix] = entry; }
   bool remove(const Prefix& prefix) { return entries_.erase(prefix) > 0; }
 
+  /// Drop every entry of `origins`, then insert `entries` one by one.
+  void replace_origins(std::initializer_list<RouteOrigin> origins,
+                       const std::vector<FibEntry>& entries) {
+    std::erase_if(entries_, [&](const auto& kv) {
+      return std::find(origins.begin(), origins.end(), kv.second.origin) !=
+             origins.end();
+    });
+    for (const FibEntry& e : entries) insert(e);
+  }
+
   std::optional<FibEntry> lookup(Ipv4Addr addr) const {
     std::optional<FibEntry> best;
     for (const auto& [prefix, entry] : entries_) {
@@ -28,6 +42,13 @@ class ReferenceFib {
   }
 
   std::size_t size() const { return entries_.size(); }
+
+  /// Entries in std::map (= prefix) order.
+  std::vector<FibEntry> entries() const {
+    std::vector<FibEntry> out;
+    for (const auto& [prefix, entry] : entries_) out.push_back(entry);
+    return out;
+  }
 
  private:
   std::map<Prefix, FibEntry> entries_;
@@ -85,6 +106,59 @@ TEST(FibDifferential, RandomOperationsMatchReference) {
       }
     }
     EXPECT_EQ(fib.size(), reference.size()) << "seed " << seed;
+    EXPECT_EQ(fib.entries(), reference.entries()) << "seed " << seed;
+  }
+}
+
+TEST(FibDifferential, ReplaceOriginsMatchesReference) {
+  // replace_origins must store exactly what "drop those origins, then
+  // insert() each entry" stores, and move the epoch exactly when the stored
+  // entries change. A small prefix pool makes reinstalls and same-prefix
+  // overwrites across origins common.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    sim::Rng rng{seed * 104729};
+    std::vector<Prefix> pool;
+    for (int i = 0; i < 16; ++i) pool.push_back(random_prefix(rng));
+    Fib fib;
+    ReferenceFib reference;
+    for (int i = 0; i < 4; ++i) {
+      FibEntry connected;
+      connected.prefix = rng.pick(pool);
+      connected.origin = RouteOrigin::kConnected;
+      fib.insert(connected);
+      reference.insert(connected);
+    }
+    std::vector<FibEntry> last_table[2];
+    for (int round = 0; round < 300; ++round) {
+      const bool igp = rng.uniform() < 0.5;
+      std::vector<FibEntry>& table = last_table[igp ? 1 : 0];
+      if (rng.uniform() < 0.7) {  // otherwise reinstall the previous table
+        table.clear();
+        const auto count = rng.uniform_int(0, 12);
+        for (std::int64_t i = 0; i < count; ++i) {
+          FibEntry e;
+          e.prefix = rng.pick(pool);
+          e.next_hop = NodeId{static_cast<std::uint32_t>(rng.uniform_int(0, 3))};
+          e.origin = !igp                  ? RouteOrigin::kBgp
+                     : rng.uniform() < 0.5 ? RouteOrigin::kIgp
+                                           : RouteOrigin::kAnycast;
+          table.push_back(e);
+        }
+      }
+      const std::vector<FibEntry> before = fib.entries();
+      const std::uint64_t epoch_before = fib.epoch();
+      if (igp) {
+        fib.replace_origins({RouteOrigin::kIgp, RouteOrigin::kAnycast}, table);
+        reference.replace_origins({RouteOrigin::kIgp, RouteOrigin::kAnycast}, table);
+      } else {
+        fib.replace_origins({RouteOrigin::kBgp}, table);
+        reference.replace_origins({RouteOrigin::kBgp}, table);
+      }
+      ASSERT_EQ(fib.entries(), reference.entries())
+          << "seed " << seed << " round " << round;
+      EXPECT_EQ(fib.epoch() != epoch_before, fib.entries() != before)
+          << "seed " << seed << " round " << round;
+    }
   }
 }
 
