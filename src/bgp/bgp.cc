@@ -37,6 +37,23 @@ std::string Route::describe() const {
   return out;
 }
 
+namespace {
+
+/// The Gao-Rexford class of a route whose neighbor domain has relationship
+/// `rel` to the receiving domain. No relationship (an iBGP copy whose first
+/// AS hop is not a neighbor) counts as peer.
+LearnedFrom learned_from(std::optional<Relationship> rel) {
+  if (!rel) return LearnedFrom::kPeer;
+  switch (*rel) {
+    case Relationship::kCustomer: return LearnedFrom::kCustomer;
+    case Relationship::kPeer: return LearnedFrom::kPeer;
+    case Relationship::kProvider: return LearnedFrom::kProvider;
+  }
+  return LearnedFrom::kPeer;
+}
+
+}  // namespace
+
 BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
                      std::function<const igp::Igp*(net::DomainId)> igp_of,
                      BgpConfig config)
@@ -53,32 +70,39 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
       speakers_.emplace(router.id.value(), std::move(st));
     }
   }
-  // eBGP sessions over inter-domain links.
+  // eBGP sessions over inter-domain links, created in adjacent twin pairs.
   for (const auto& link : topo.links()) {
     if (!link.interdomain) continue;
     const auto rel_of_b = topo.relationship(topo.router(link.a).domain,
                                             topo.router(link.b).domain);
     assert(rel_of_b.has_value());
     const std::size_t ab = sessions_.size();
-    sessions_.push_back(Session{link.a, link.b, link.id, *rel_of_b, false});
+    sessions_.push_back(Session{link.a, link.b, link.id, *rel_of_b, false, ab + 1});
     speaker(link.a).sessions.push_back(ab);
-    const std::size_t ba = sessions_.size();
-    sessions_.push_back(Session{link.b, link.a, link.id, reverse(*rel_of_b), false});
-    speaker(link.b).sessions.push_back(ba);
+    sessions_.push_back(
+        Session{link.b, link.a, link.id, reverse(*rel_of_b), false, ab});
+    speaker(link.b).sessions.push_back(ab + 1);
   }
-  // iBGP full mesh among each domain's border routers.
+  // iBGP full mesh among each domain's border routers; i->j is twinned
+  // with j->i.
   for (const auto& domain : topo.domains()) {
     std::vector<NodeId> borders;
     for (const NodeId r : domain.routers) {
       if (topo.router(r).border) borders.push_back(r);
     }
-    for (std::size_t i = 0; i < borders.size(); ++i) {
-      for (std::size_t j = 0; j < borders.size(); ++j) {
+    const std::size_t base = sessions_.size();
+    const std::size_t n = borders.size();
+    const auto index = [&](std::size_t i, std::size_t j) {
+      return base + i * (n - 1) + (j < i ? j : j - 1);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
         if (i == j) continue;
-        const std::size_t s = sessions_.size();
+        assert(sessions_.size() == index(i, j));
+        speaker(borders[i]).sessions.push_back(sessions_.size());
         sessions_.push_back(Session{borders[i], borders[j], LinkId::invalid(),
-                                    Relationship::kPeer, /*ibgp=*/true});
-        speaker(borders[i]).sessions.push_back(s);
+                                    Relationship::kPeer, /*ibgp=*/true,
+                                    index(j, i)});
       }
     }
   }
@@ -103,24 +127,27 @@ void BgpSystem::originate(DomainId domain, Prefix prefix, OriginationPolicy poli
                        (std::uint64_t{prefix.address().bits()} << 8) | prefix.length());
   }
   for (const NodeId node : speakers_of(domain)) {
-    auto& st = speaker(node);
-    st.originated[prefix] = policy;
-    Route route;
-    route.prefix = prefix;
-    route.as_path = {domain};
-    route.egress_router = node;
-    route.local_pref = local_pref_for(LearnedFrom::kSelf);
-    route.learned = LearnedFrom::kSelf;
-    route.no_export = policy.no_export;
-    route.propagation_ttl = policy.propagation_ttl;
-    route.anycast = policy.anycast;
-    st.adj_rib_in[{prefix, kSelfSession}] = route;
-    decide(node, prefix);
-    // A re-origination may change only export policy; the decision process
-    // cannot see that, so always force a (re-)advertisement pass.
-    st.dirty.insert(prefix);
-    schedule_send(node);
+    speaker(node).originated[prefix] = policy;
+    seed_self_route(node, prefix, policy);
   }
+}
+
+void BgpSystem::seed_self_route(NodeId node, Prefix prefix,
+                                const OriginationPolicy& policy) {
+  auto& st = speaker(node);
+  Route route;
+  route.prefix = prefix;
+  route.as_path = {st.domain};
+  route.egress_router = node;
+  route.local_pref = local_pref_for(LearnedFrom::kSelf);
+  route.learned = LearnedFrom::kSelf;
+  route.no_export = policy.no_export;
+  route.propagation_ttl = policy.propagation_ttl;
+  route.anycast = policy.anycast;
+  st.adj_rib_in[{prefix, kSelfSession}] = std::move(route);
+  decide(node, prefix);
+  st.dirty.insert(prefix);
+  schedule_send(node);
 }
 
 void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
@@ -174,12 +201,7 @@ void BgpSystem::decide(NodeId node, Prefix prefix) {
     if (!had) return;
     st.loc_rib.erase(current);
   } else {
-    if (had && current->second.describe() == best->describe() &&
-        current->second.egress_router == best->egress_router &&
-        current->second.ebgp_next_hop == best->ebgp_next_hop &&
-        current->second.via_link == best->via_link) {
-      return;  // no effective change
-    }
+    if (had && current->second == *best) return;  // no effective change
     st.loc_rib[prefix] = *best;
   }
   st.dirty.insert(prefix);
@@ -257,161 +279,125 @@ void BgpSystem::flush_updates(NodeId node) {
       const Session& session = sessions_[si];
       if (!session_usable(session)) continue;
       Update update;
-      update.prefix = prefix;
+      update.route.prefix = prefix;
       if (best == st.loc_rib.end() || !exportable(st, best->second, session)) {
         // Withdraw only where an advertisement actually exists.
         if (st.adj_rib_out.erase({prefix, si}) == 0) continue;
         update.withdraw = true;
       } else {
         st.adj_rib_out.insert({prefix, si});
-      }
-      if (!update.withdraw) {
-        update.as_path = best->second.as_path;
-        if (!session.ibgp) {
-          // Path was already prepended with our domain at origination time
-          // (self routes carry {domain}); for learned routes prepend now.
-          if (best->second.learned != LearnedFrom::kSelf) {
-            update.as_path.insert(update.as_path.begin(), st.domain);
-          }
+        const Route& route = best->second;
+        auto& path = update.route.as_path;
+        // Self routes already carry {domain}; learned routes gain our
+        // domain when they leave it over eBGP.
+        path.reserve(route.as_path.size() + 1);
+        if (!session.ibgp && route.learned != LearnedFrom::kSelf) {
+          path.push_back(st.domain);
         }
-        update.no_export = best->second.no_export;
-        update.propagation_ttl = best->second.propagation_ttl;
-        update.anycast = best->second.anycast;
+        path.insert(path.end(), route.as_path.begin(), route.as_path.end());
+        update.route.no_export = route.no_export;
+        update.route.propagation_ttl = route.propagation_ttl;
+        update.route.anycast = route.anycast;
       }
-      send(node, session.remote, si, std::move(update));
+      send(si, std::move(update));
     }
   }
 }
 
-void BgpSystem::send(NodeId from, NodeId to, std::size_t session_index,
-                     Update update) {
+void BgpSystem::send(std::size_t session_index, Update update) {
   const Session& session = sessions_[session_index];
   const sim::Duration latency = session.ibgp
                                     ? config_.ibgp_latency
                                     : network_.topology().link(session.link).latency;
   ++messages_sent_;
-  simulator_.schedule_after(latency, [this, from, to, session_index,
-                                      update = std::move(update)] {
+  auto deliver = [this, session_index, update = std::move(update)]() mutable {
     // Re-check at delivery: the session may have died in flight.
     if (!session_usable(sessions_[session_index])) return;
-    receive(to, from, session_index, update);
-  });
+    receive(session_index, std::move(update));
+  };
+  // BGP messages ride the event queue without heap-allocating the closure.
+  static_assert(sizeof(deliver) <= sim::EventFn::inline_capacity);
+  simulator_.schedule_after(latency, std::move(deliver));
 }
 
-void BgpSystem::receive(NodeId local, NodeId from, std::size_t session_index,
-                        Update update) {
+void BgpSystem::receive(std::size_t session_index, Update update) {
+  const std::size_t in_session = sessions_[session_index].twin;
+  const Session& session = sessions_[in_session];
+  const NodeId local = session.local;
   auto& st = speaker(local);
-  // Find the reverse session to learn the relationship (sessions are
-  // created in pairs; the incoming view is the remote's perspective).
-  const Session& incoming = sessions_[session_index];
-  const bool ibgp = incoming.ibgp;
-
-  // The incoming session as seen from `local`: the reverse twin of
-  // `session_index` (sessions are created in adjacent pairs for eBGP; for
-  // iBGP, the peer's mirrored session). Identify it by scanning local's
-  // sessions for the matching remote + link.
-  const std::size_t in_session = [&]() -> std::size_t {
-    for (const std::size_t si : st.sessions) {
-      const Session& s = sessions_[si];
-      if (s.remote == from && s.ibgp == incoming.ibgp && s.link == incoming.link) {
-        return si;
-      }
-    }
-    return kSelfSession;  // unreachable in a consistent session graph
-  }();
+  Route& route = update.route;
+  const Prefix prefix = route.prefix;
 
   if (update.withdraw) {
-    if (st.adj_rib_in.erase({update.prefix, in_session}) > 0) {
-      decide(local, update.prefix);
-    }
+    if (st.adj_rib_in.erase({prefix, in_session}) > 0) decide(local, prefix);
     return;
   }
 
-  // Loop prevention (eBGP): reject paths containing our own domain.
-  if (!ibgp && std::find(update.as_path.begin(), update.as_path.end(), st.domain) !=
-                   update.as_path.end()) {
-    return;
-  }
-
-  Route route;
-  route.prefix = update.prefix;
-  route.as_path = update.as_path;
-  route.no_export = update.no_export;
-  route.propagation_ttl = update.propagation_ttl;
-  route.anycast = update.anycast;
-  if (ibgp) {
+  if (session.ibgp) {
     // The sending border router remains the egress; the route keeps the
     // Gao-Rexford class it had where it entered the domain, recomputed
     // from the domain's relationship with the path's first AS hop.
     route.via_ibgp = true;
-    route.egress_router = from;
-    const auto rel = network_.topology().relationship(
-        st.domain, route.as_path.empty() ? DomainId::invalid() : route.as_path.front());
-    route.learned = !rel                              ? LearnedFrom::kPeer
-                    : *rel == Relationship::kCustomer ? LearnedFrom::kCustomer
-                    : *rel == Relationship::kPeer     ? LearnedFrom::kPeer
-                                                      : LearnedFrom::kProvider;
-    route.local_pref = local_pref_for(route.learned);
+    route.egress_router = session.remote;
+    route.learned = learned_from(network_.topology().relationship(
+        st.domain, route.as_path.empty() ? DomainId::invalid() : route.as_path.front()));
   } else {
-    const Relationship rel = in_session == kSelfSession
-                                 ? Relationship::kPeer
-                                 : sessions_[in_session].relationship;
-    route.learned = rel == Relationship::kCustomer  ? LearnedFrom::kCustomer
-                    : rel == Relationship::kPeer    ? LearnedFrom::kPeer
-                                                    : LearnedFrom::kProvider;
-    route.local_pref = local_pref_for(route.learned);
+    // Loop prevention: reject paths containing our own domain.
+    if (route.contains_domain(st.domain)) return;
+    route.learned = learned_from(session.relationship);
     route.egress_router = local;
-    route.ebgp_next_hop = from;
-    route.via_link = incoming.link;
+    route.ebgp_next_hop = session.remote;
+    route.via_link = session.link;
   }
+  route.local_pref = local_pref_for(route.learned);
 
-  st.adj_rib_in[{update.prefix, in_session}] = std::move(route);
-  decide(local, update.prefix);
+  st.adj_rib_in[{prefix, in_session}] = std::move(route);
+  decide(local, prefix);
+}
+
+void BgpSystem::drop_sessions(NodeId node,
+                              const std::function<bool(const Session&)>& dead) {
+  auto& st = speaker(node);
+  std::set<std::size_t> dead_sessions;
+  for (const std::size_t si : st.sessions) {
+    if (dead(sessions_[si])) dead_sessions.insert(si);
+  }
+  if (dead_sessions.empty()) return;
+  std::vector<Prefix> affected;
+  std::erase_if(st.adj_rib_in, [&](const auto& entry) {
+    if (!dead_sessions.contains(entry.first.second)) return false;
+    affected.push_back(entry.first.first);
+    return true;
+  });
+  std::erase_if(st.adj_rib_out, [&](const auto& entry) {
+    return dead_sessions.contains(entry.second);
+  });
+  for (const Prefix prefix : affected) decide(node, prefix);
+}
+
+void BgpSystem::readvertise_all(NodeId node) {
+  auto& st = speaker(node);
+  for (const auto& [prefix, route] : st.loc_rib) st.dirty.insert(prefix);
+  schedule_send(node);
 }
 
 void BgpSystem::on_link_change(LinkId link_id) {
   const auto& link = network_.topology().link(link_id);
   if (!link.interdomain) return;
+  const bool usable = network_.topology().link_usable(link_id);
   if (recorder_ != nullptr) {
-    recorder_->instant(obs::Domain::kBgp,
-                       network_.topology().link_usable(link_id) ? "bgp.session.up"
-                                                                : "bgp.session.down",
+    recorder_->instant(obs::Domain::kBgp, usable ? "bgp.session.up" : "bgp.session.down",
                        link_id.value(),
                        (std::uint64_t{link.a.value()} << 32) | link.b.value());
   }
-  if (network_.topology().link_usable(link_id)) {
-    // Sessions re-establish: both ends re-advertise their full Loc-RIBs.
-    for (const NodeId end : {link.a, link.b}) {
-      auto& st = speaker(end);
-      for (const auto& [prefix, route] : st.loc_rib) st.dirty.insert(prefix);
-      schedule_send(end);
-    }
-  } else {
-    // Session down: drop routes learned over this link's sessions at both
-    // ends, and forget what was advertised over them.
-    for (const NodeId end : {link.a, link.b}) {
-      auto& st = speaker(end);
-      std::set<std::size_t> dead_sessions;
-      for (const std::size_t si : st.sessions) {
-        if (sessions_[si].link == link_id) dead_sessions.insert(si);
-      }
-      std::vector<Prefix> affected;
-      for (auto it = st.adj_rib_in.begin(); it != st.adj_rib_in.end();) {
-        if (dead_sessions.contains(it->first.second)) {
-          affected.push_back(it->first.first);
-          it = st.adj_rib_in.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = st.adj_rib_out.begin(); it != st.adj_rib_out.end();) {
-        if (dead_sessions.contains(it->second)) {
-          it = st.adj_rib_out.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (const Prefix prefix : affected) decide(end, prefix);
+  for (const NodeId end : {link.a, link.b}) {
+    if (usable) {
+      // Sessions re-establish: both ends re-advertise their full Loc-RIBs.
+      readvertise_all(end);
+    } else {
+      // Session down: both ends drop what was learned and advertised over
+      // this link's sessions.
+      drop_sessions(end, [&](const Session& s) { return s.link == link_id; });
     }
   }
 }
@@ -422,75 +408,33 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
     recorder_->instant(obs::Domain::kBgp,
                        up ? "bgp.speaker.up" : "bgp.speaker.down", node.value());
   }
-  if (!up) {
-    // The crashed speaker loses all volatile RIB state; `originated` stays
-    // (it is configuration, restored below on recovery).
-    if (is_speaker(node)) {
-      auto& st = speaker(node);
+  if (is_speaker(node)) {
+    auto& st = speaker(node);
+    if (!up) {
+      // The crashed speaker loses all volatile RIB state; `originated`
+      // stays (it is configuration, re-seeded on recovery).
       st.adj_rib_in.clear();
       st.loc_rib.clear();
       st.adj_rib_out.clear();
       st.dirty.clear();
-    }
-    // Peers hold down every session to the dead node and withdraw what
-    // they learned over those sessions.
-    for (const NodeId peer : sorted_speakers()) {
-      if (peer == node) continue;
-      auto& st = speaker(peer);
-      std::set<std::size_t> dead_sessions;
-      for (const std::size_t si : st.sessions) {
-        if (sessions_[si].remote == node) dead_sessions.insert(si);
-      }
-      if (dead_sessions.empty()) continue;
-      std::vector<Prefix> affected;
-      for (auto it = st.adj_rib_in.begin(); it != st.adj_rib_in.end();) {
-        if (dead_sessions.contains(it->first.second)) {
-          affected.push_back(it->first.first);
-          it = st.adj_rib_in.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = st.adj_rib_out.begin(); it != st.adj_rib_out.end();) {
-        if (dead_sessions.contains(it->second)) {
-          it = st.adj_rib_out.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (const Prefix prefix : affected) decide(peer, prefix);
-    }
-  } else {
-    // Recovery: re-seed self-originated routes from configuration...
-    if (is_speaker(node)) {
-      auto& st = speaker(node);
+    } else {
       for (const auto& [prefix, policy] : st.originated) {
-        Route route;
-        route.prefix = prefix;
-        route.as_path = {st.domain};
-        route.egress_router = node;
-        route.local_pref = local_pref_for(LearnedFrom::kSelf);
-        route.learned = LearnedFrom::kSelf;
-        route.no_export = policy.no_export;
-        route.propagation_ttl = policy.propagation_ttl;
-        route.anycast = policy.anycast;
-        st.adj_rib_in[{prefix, kSelfSession}] = route;
-        decide(node, prefix);
-        st.dirty.insert(prefix);
+        seed_self_route(node, prefix, policy);
       }
-      if (!st.dirty.empty()) schedule_send(node);
     }
-    // ...and peers with a session to the restored speaker re-advertise
-    // their full Loc-RIBs toward it (session re-establishment).
-    for (const NodeId peer : sorted_speakers()) {
-      if (peer == node) continue;
-      auto& st = speaker(peer);
-      const bool has_session =
-          std::any_of(st.sessions.begin(), st.sessions.end(),
-                      [&](std::size_t si) { return sessions_[si].remote == node; });
-      if (!has_session || st.loc_rib.empty()) continue;
-      for (const auto& [prefix, route] : st.loc_rib) st.dirty.insert(prefix);
-      schedule_send(peer);
+  }
+  // Peers with a session to the node hold it down and withdraw what they
+  // learned over it, or re-establish it and re-advertise their Loc-RIBs.
+  const auto to_node = [&](const Session& s) { return s.remote == node; };
+  for (const NodeId peer : sorted_speakers()) {
+    if (peer == node) continue;
+    const auto& st = speaker(peer);
+    if (!up) {
+      drop_sessions(peer, to_node);
+    } else if (!st.loc_rib.empty() &&
+               std::any_of(st.sessions.begin(), st.sessions.end(),
+                           [&](std::size_t si) { return to_node(sessions_[si]); })) {
+      readvertise_all(peer);
     }
   }
 }

@@ -99,15 +99,17 @@ class BgpSystem {
     net::LinkId link;                 // invalid() for iBGP
     net::Relationship relationship;   // of remote as seen from local (eBGP)
     bool ibgp = false;
+    /// The same session seen from `remote` (where this side's updates
+    /// arrive); set once in the constructor.
+    std::size_t twin = 0;
   };
 
+  /// One UPDATE message. The sender fills the route's prefix, AS path and
+  /// carried attributes (no_export, propagation_ttl, anycast); the
+  /// receiver fills the fields that depend on the session it arrived on.
   struct Update {
-    net::Prefix prefix;
     bool withdraw = false;
-    std::vector<net::DomainId> as_path;
-    bool no_export = false;
-    std::uint8_t propagation_ttl = 0;
-    bool anycast = false;
+    Route route;
   };
 
   /// Sentinel "session" index for self-originated Adj-RIB-In entries.
@@ -141,10 +143,26 @@ class BgpSystem {
     return speakers_.at(node.value());
   }
 
-  void send(net::NodeId from, net::NodeId to, std::size_t session_index,
-            Update update);
-  void receive(net::NodeId local, net::NodeId from, std::size_t session_index,
-               Update update);
+  void send(std::size_t session_index, Update update);
+  /// Deliver `update`, sent over `session_index`, at that session's twin.
+  void receive(std::size_t session_index, Update update);
+
+  /// Install the self-originated route for `prefix` at `node` under
+  /// `policy`, re-decide, and force a (re-)advertisement pass: a
+  /// re-origination may change only export policy, which the decision
+  /// process cannot see.
+  void seed_self_route(net::NodeId node, net::Prefix prefix,
+                       const OriginationPolicy& policy);
+
+  /// Tear down `node`'s sessions for which `dead` holds: forget what was
+  /// learned and advertised over them and re-decide the prefixes they
+  /// carried.
+  void drop_sessions(net::NodeId node,
+                     const std::function<bool(const Session&)>& dead);
+
+  /// Mark `node`'s whole Loc-RIB for re-advertisement (session
+  /// re-establishment) and schedule a send.
+  void readvertise_all(net::NodeId node);
 
   /// Re-run the decision process for `prefix` at `node`; queue updates if
   /// the best route changed.

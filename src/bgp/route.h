@@ -72,6 +72,10 @@ struct Route {
     return false;
   }
 
+  /// Every field counts: the decision process treats any difference
+  /// (including the propagation radius) as a new route to advertise.
+  friend bool operator==(const Route&, const Route&) = default;
+
   std::string describe() const;
 };
 

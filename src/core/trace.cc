@@ -90,24 +90,29 @@ EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
 
   const net::Packet packet =
       internet.generation_hosts(generation).make_datagram(src, dst);
-  const net::IpvNHeader inner = packet.layers().front().vn;
-  const NodeId src_access = topo.host(src).access_router;
-
   // Leg 1: encapsulated packet rides unicast to the anycast address; the
   // network delivers it to the closest IPvN router (the ingress).
-  Segment ingress_seg;
-  ingress_seg.kind = Segment::Kind::kAnycastIngress;
-  ingress_seg.trace = network.trace(src_access, packet.outer().v4.dst);
-  result.segments.push_back(ingress_seg);
-  if (!ingress_seg.trace.delivered() ||
-      !vnbone.deployed(ingress_seg.trace.delivered_at)) {
-    result.failure = EndToEndTrace::Failure::kIngressFailed;
-    return result;
+  if (enter_at_ingress(network, vnbone, topo.host(src).access_router,
+                       packet.outer().v4.dst, result)) {
+    complete_from_ingress(internet, packet.layers().front().vn, dst, mode, result,
+                          generation);
   }
-  result.ingress = ingress_seg.trace.delivered_at;
-
-  complete_from_ingress(internet, inner, dst, mode, result, generation);
   return result;
+}
+
+bool enter_at_ingress(const net::Network& network, const vnbone::VnBone& vnbone,
+                      NodeId from, net::Ipv4Addr outer_dst, EndToEndTrace& result,
+                      const std::function<bool(NodeId)>& accept) {
+  Segment& segment = result.segments.emplace_back();
+  segment.kind = Segment::Kind::kAnycastIngress;
+  segment.trace = network.trace(from, outer_dst);
+  const NodeId at = segment.trace.delivered_at;
+  if (!segment.trace.delivered() || !vnbone.deployed(at) || (accept && !accept(at))) {
+    result.failure = EndToEndTrace::Failure::kIngressFailed;
+    return false;
+  }
+  result.ingress = at;
+  return true;
 }
 
 LegPlan plan_legs(const net::Topology& topology,
@@ -167,14 +172,14 @@ NodeId register_endhost_route(EvolvableInternet& internet, HostId host) {
   if (!vnbone.anycast_group().valid()) return NodeId::invalid();
   const auto addr = internet.hosts().ipvn_address(host);
   if (!addr.is_self_address()) return NodeId::invalid();
-  const auto& topo = internet.topology();
-  const auto trace = internet.network().trace(topo.host(host).access_router,
-                                              vnbone.anycast_address());
-  if (!trace.delivered() || !vnbone.deployed(trace.delivered_at)) {
+  EndToEndTrace leg;
+  if (!enter_at_ingress(internet.network(), vnbone,
+                        internet.topology().host(host).access_router,
+                        vnbone.anycast_address(), leg)) {
     return NodeId::invalid();
   }
-  vnbone.register_endhost_route(addr, trace.delivered_at);
-  return trace.delivered_at;
+  vnbone.register_endhost_route(addr, leg.ingress);
+  return leg.ingress;
 }
 
 Cost oracle_host_distance(const EvolvableInternet& internet, HostId src, HostId dst) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -115,6 +116,18 @@ EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
                                    net::HostId dst,
                                    std::optional<vnbone::EgressMode> mode =
                                        std::nullopt);
+
+/// The ingress leg every IPvN driver shares: the encapsulated packet rides
+/// unicast from `from` toward `outer_dst` (an anycast address, or a
+/// broker's unicast pick) and is recorded as the kAnycastIngress segment
+/// of `result`. The router it lands on becomes `result.ingress` when
+/// `vnbone` has it deployed and `accept` (the caller's own rule, if any)
+/// agrees; otherwise `result.failure` is kIngressFailed. Returns whether
+/// the ingress was accepted.
+bool enter_at_ingress(const net::Network& network, const vnbone::VnBone& vnbone,
+                      net::NodeId from, net::Ipv4Addr outer_dst,
+                      EndToEndTrace& result,
+                      const std::function<bool(net::NodeId)>& accept = nullptr);
 
 /// Complete a delivery whose ingress was already determined (by anycast,
 /// a broker lookup, or a user-selected provider): runs the vN-Bone leg

@@ -85,24 +85,18 @@ core::EndToEndTrace send_ipvn_via_broker(const core::EvolvableInternet& internet
   }
 
   // The client tunnels the encapsulated datagram to the broker-provided
-  // *unicast* address (no anycast involved).
+  // *unicast* address (no anycast involved). Staleness bites here: the
+  // router must still be deployed to accept the encapsulated packet.
   const net::Packet packet = internet.hosts().make_datagram(src, dst);
-  const net::IpvNHeader inner = packet.layers().front().vn;
-  core::Segment ingress_seg;
-  ingress_seg.kind = core::Segment::Kind::kAnycastIngress;  // the ingress leg
-  ingress_seg.trace = network.trace(src_access, topo.router(*target).loopback);
-  result.segments.push_back(ingress_seg);
-  // Staleness bites here: the router must still be deployed to accept the
-  // encapsulated packet.
-  if (!ingress_seg.trace.delivered() ||
-      ingress_seg.trace.delivered_at != *target || !vnbone.deployed(*target)) {
-    result.failure = core::EndToEndTrace::Failure::kIngressFailed;
+  if (!core::enter_at_ingress(network, vnbone, src_access,
+                              topo.router(*target).loopback, result,
+                              [&](NodeId at) { return at == *target; })) {
     return result;
   }
-  result.ingress = *target;
 
   // From the ingress onward the path is identical to the anycast case.
-  core::complete_from_ingress(internet, inner, dst, mode, result);
+  core::complete_from_ingress(internet, packet.layers().front().vn, dst, mode,
+                              result);
   return result;
 }
 

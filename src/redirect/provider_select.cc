@@ -65,27 +65,18 @@ core::EndToEndTrace send_ipvn_via_provider(const core::EvolvableInternet& intern
   }
   const auto& network = internet.network();
   const auto& topo = network.topology();
-  const auto& vnbone = internet.vnbone();
-
   const net::Packet packet = internet.hosts().make_datagram(src, dst);
-  const net::IpvNHeader inner = packet.layers().front().vn;
-  const NodeId src_access = topo.host(src).access_router;
-
-  core::Segment ingress_seg;
-  ingress_seg.kind = core::Segment::Kind::kAnycastIngress;
-  ingress_seg.trace = network.trace(src_access, *address);
-  result.segments.push_back(ingress_seg);
-  const bool landed_with_provider =
-      ingress_seg.trace.delivered() &&
-      topo.router(ingress_seg.trace.delivered_at).domain == provider &&
-      vnbone.deployed(ingress_seg.trace.delivered_at);
-  if (!landed_with_provider) {
-    result.failure = core::EndToEndTrace::Failure::kIngressFailed;
+  // Only the chosen provider's routers may terminate its address.
+  if (!core::enter_at_ingress(network, internet.vnbone(),
+                              topo.host(src).access_router, *address, result,
+                              [&](NodeId at) {
+                                return topo.router(at).domain == provider;
+                              })) {
     return result;
   }
-  result.ingress = ingress_seg.trace.delivered_at;
 
-  core::complete_from_ingress(internet, inner, dst, mode, result);
+  core::complete_from_ingress(internet, packet.layers().front().vn, dst, mode,
+                              result);
   return result;
 }
 

@@ -56,17 +56,27 @@ TEST(BgpDetails, ParallelLinksBothCarrySessions) {
   const auto ra = topo.add_router(a);
   const auto rb = topo.add_router(b);
   const auto l1 = topo.add_interdomain_link(ra, rb, Relationship::kPeer);
-  topo.add_interdomain_link(ra, rb, Relationship::kPeer);
+  const auto l2 = topo.add_interdomain_link(ra, rb, Relationship::kPeer);
   Fixture f(std::move(topo));
   f.start_and_converge();
-  ASSERT_NE(f.bgp->best_route(ra, f.network.topology().domain(b).prefix), nullptr);
+  const Prefix prefix = f.network.topology().domain(b).prefix;
+  ASSERT_NE(f.bgp->best_route(ra, prefix), nullptr);
   f.network.topology().set_link_up(l1, false);
   f.bgp->on_link_change(l1);
   f.converge();
-  EXPECT_NE(f.bgp->best_route(ra, f.network.topology().domain(b).prefix), nullptr);
-  const auto trace =
-      f.network.trace(ra, f.network.topology().domain(b).prefix.address());
+  const Route* during = f.bgp->best_route(ra, prefix);
+  ASSERT_NE(during, nullptr);
+  EXPECT_EQ(during->via_link, l2) << "the surviving session must carry the route";
+  const auto trace = f.network.trace(ra, prefix.address());
   EXPECT_TRUE(trace.delivered());
+
+  // Restoring l1 re-establishes its session without disturbing l2's.
+  f.network.topology().set_link_up(l1, true);
+  f.bgp->on_link_change(l1);
+  f.converge();
+  const Route* after = f.bgp->best_route(ra, prefix);
+  ASSERT_NE(after, nullptr);
+  EXPECT_TRUE(after->via_link == l1 || after->via_link == l2);
 }
 
 TEST(BgpDetails, EbgpPreferredOverIbgpCopy) {

@@ -70,6 +70,26 @@ TEST(ScopedPropagation, TtlBoundsVisibility) {
   EXPECT_EQ(chain.bgp->best_route(chain.routers[5], p), nullptr);
 }
 
+TEST(ScopedPropagation, WideningTtlReachesFartherDomains) {
+  // Re-originating with a wider radius changes only propagation_ttl; each
+  // neighbor must still treat that as a new route and pass it on.
+  Chain chain(6);
+  const Prefix p = Prefix::host(Ipv4Addr{0, 0, 0, 47});
+  OriginationPolicy policy;
+  policy.propagation_ttl = 2;
+  chain.bgp->originate(chain.domains[0], p, policy);
+  chain.converge();
+  ASSERT_NE(chain.bgp->best_route(chain.routers[2], p), nullptr);
+  ASSERT_EQ(chain.bgp->best_route(chain.routers[3], p), nullptr);
+
+  policy.propagation_ttl = 4;
+  chain.bgp->originate(chain.domains[0], p, policy);
+  chain.converge();
+  EXPECT_NE(chain.bgp->best_route(chain.routers[3], p), nullptr);
+  EXPECT_NE(chain.bgp->best_route(chain.routers[4], p), nullptr);
+  EXPECT_EQ(chain.bgp->best_route(chain.routers[5], p), nullptr);
+}
+
 TEST(ScopedPropagation, TtlOneReachesNeighborsOnly) {
   Chain chain(4);
   const Prefix p = Prefix::host(Ipv4Addr{0, 0, 0, 43});

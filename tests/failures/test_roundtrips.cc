@@ -4,6 +4,9 @@
 // router crash/recovery with anycast failover under both IGP families.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "anycast/resolver.h"
 #include "core/evolvable_internet.h"
 #include "net/topology_gen.h"
@@ -104,6 +107,53 @@ TEST(BgpSessionFlap, BorderRouterCrashTearsDownAndRestoresSessions) {
   const bgp::Route* after = net.bgp().best_route(t1_speaker, t0_prefix);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->as_path.size(), 1u) << "peer session must re-establish";
+}
+
+/// Every speaker's Loc-RIB, by value, keyed by speaker.
+std::map<NodeId, std::vector<bgp::Route>> loc_ribs(const EvolvableInternet& net) {
+  std::map<NodeId, std::vector<bgp::Route>> out;
+  for (const auto& router : net.topology().routers()) {
+    net.bgp().for_each_best_route(
+        router.id, [&](const bgp::Route& route) { out[router.id].push_back(route); });
+  }
+  return out;
+}
+
+TEST(BgpRoundTrip, CrashAndLinkFlapRestoreEveryLocRib) {
+  // The teardown and re-seed paths must undo each other exactly: after a
+  // border-router crash + recovery, and after an inter-domain link flap,
+  // every speaker's Loc-RIB equals its pre-failure state field by field.
+  EvolvableInternet net(net::generate_transit_stub(
+      {.transit_domains = 3, .stubs_per_transit = 2, .seed = 7}));
+  net.start();
+  net.deploy_domain(DomainId{0});
+  net.converge();
+  const auto before = loc_ribs(net);
+  ASSERT_FALSE(before.empty());
+
+  LinkId interdomain = LinkId::invalid();
+  for (const auto& link : net.topology().links()) {
+    if (link.interdomain) {
+      interdomain = link.id;
+      break;
+    }
+  }
+  ASSERT_TRUE(interdomain.valid());
+  const NodeId border = net.topology().link(interdomain).a;
+
+  net.set_node_up(border, false);
+  net.converge();
+  ASSERT_NE(loc_ribs(net), before) << "the crash must disturb some Loc-RIB";
+  net.set_node_up(border, true);
+  net.converge();
+  EXPECT_EQ(loc_ribs(net), before) << "crash + recovery of router " << border.value();
+
+  net.set_link_up(interdomain, false);
+  net.converge();
+  ASSERT_NE(loc_ribs(net), before) << "the flap must disturb some Loc-RIB";
+  net.set_link_up(interdomain, true);
+  net.converge();
+  EXPECT_EQ(loc_ribs(net), before) << "flap of link " << interdomain.value();
 }
 
 TEST(DistanceVector, CountToInfinityIsBoundedOnPartition) {
