@@ -1,9 +1,9 @@
 // Experiment E9: substrate microbenchmarks (google-benchmark).
 //
 // FIB longest-prefix match, Dijkstra/SPF, trace throughput, event-queue
-// schedule/fire, and control plane convergence (LS flooding, DV settling,
-// BGP propagation) — the costs that bound how large the scenario
-// experiments can scale.
+// schedule/fire, control plane convergence (LS flooding, DV settling, BGP
+// propagation) and BGP-to-FIB install — the costs that bound how large the
+// scenario experiments can scale.
 //
 // `--json <path>` additionally writes a flat {metric → value} artifact
 // (ns_per_op and items_per_sec per benchmark); BENCH_micro_substrate.json
@@ -12,10 +12,12 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <vector>
 
 #include "bench_util.h"
+#include "bgp/bgp.h"
 #include "core/evolvable_internet.h"
 #include "core/trace.h"
 #include "igp/distance_vector.h"
@@ -283,7 +285,12 @@ void BM_ParallelSweepCells(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 8 * 64 * 64);
 }
-BENCHMARK(BM_ParallelSweepCells)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParallelSweepCells)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Dijkstra(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -384,6 +391,96 @@ void BM_BgpConvergence(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BgpConvergence)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// BGP-to-FIB install, apart from propagation: link-state IGPs and a
+// BgpSystem (no EvolvableInternet) on the perfbench internet shape, four
+// stubs per transit, converged before anything is timed.
+
+struct BgpInstallFixture {
+  explicit BgpInstallFixture(std::uint32_t domains)
+      : network(net::generate_transit_stub(
+            {.transit_domains = domains / 5, .stubs_per_transit = 4, .seed = 1})) {
+    for (const auto& domain : network.topology().domains()) {
+      igps.push_back(
+          std::make_unique<igp::LinkStateIgp>(simulator, network, domain.id));
+    }
+    bgp = std::make_unique<bgp::BgpSystem>(
+        simulator, network,
+        [this](net::DomainId d) -> const igp::Igp* { return igps[d.value()].get(); });
+    for (auto& igp : igps) igp->start();
+    bgp->start();
+    simulator.run();
+  }
+
+  /// Crash or recover `node` and run to quiescence, notifying the
+  /// protocols as EvolvableInternet::set_node_up does.
+  void set_node_up(net::NodeId node, bool up) {
+    auto& topo = network.topology();
+    topo.set_node_up(node, up);
+    bgp->on_node_change(node, up);
+    for (const net::LinkId link : topo.router(node).links) {
+      if (!topo.link(link).up) continue;
+      if (topo.link(link).interdomain) {
+        bgp->on_link_change(link);
+      } else {
+        igps[topo.router(node).domain.value()]->on_link_change(link);
+      }
+    }
+    simulator.run();
+  }
+
+  sim::Simulator simulator;
+  net::Network network;
+  std::vector<std::unique_ptr<igp::LinkStateIgp>> igps;
+  std::unique_ptr<bgp::BgpSystem> bgp;
+};
+
+void BM_InstallRoutesFull(benchmark::State& state) {
+  // The first install after BGP quiescence: every prefix at every router.
+  // Each iteration converges a new system untimed.
+  std::optional<BgpInstallFixture> f;
+  for (auto _ : state) {
+    state.PauseTiming();
+    f.emplace(static_cast<std::uint32_t>(state.range(0)));
+    state.ResumeTiming();
+    f->bgp->install_routes();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_InstallRoutesFull)->Arg(40)->Arg(80)->Arg(120)->Unit(benchmark::kMicrosecond);
+
+void BM_InstallRoutesAfterBorderCrash(benchmark::State& state) {
+  // The sync after a single-homed stub loses its only border router: the
+  // stub's prefix is withdrawn in every domain. Recovery (and its install)
+  // runs untimed between iterations.
+  BgpInstallFixture f(static_cast<std::uint32_t>(state.range(0)));
+  f.bgp->install_routes();
+  net::NodeId victim = net::NodeId::invalid();
+  for (const auto& domain : f.network.topology().domains()) {
+    const auto speakers = f.bgp->speakers_of(domain.id);
+    if (domain.stub && speakers.size() == 1) {
+      victim = speakers.front();
+      break;
+    }
+  }
+  if (!victim.valid()) {
+    state.SkipWithError("no single-homed stub");
+    return;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    f.set_node_up(victim, false);
+    state.ResumeTiming();
+    f.bgp->install_routes();
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    f.set_node_up(victim, true);
+    f.bgp->install_routes();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_InstallRoutesAfterBorderCrash)->Arg(120)->Unit(benchmark::kMicrosecond);
 
 void BM_VnBoneRebuild(benchmark::State& state) {
   auto topo = net::generate_transit_stub(

@@ -62,12 +62,20 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
       igp_of_(std::move(igp_of)),
       config_(config) {
   const auto& topo = network_.topology();
-  // Every border router is a speaker.
+  // Every border router is a speaker. A new system has installed nothing,
+  // so every domain starts dirty.
+  borders_.resize(topo.domain_count());
+  install_dirt_.resize(topo.domain_count());
+  installed_epoch_.assign(topo.router_count(), 0);
+  for (const auto& link : topo.links()) {
+    link_usable_.push_back(topo.link_usable(link.id));
+  }
   for (const auto& router : topo.routers()) {
     if (router.border) {
       SpeakerState st;
       st.domain = router.domain;
       speakers_.emplace(router.id.value(), std::move(st));
+      borders_[router.domain.value()].push_back(router.id);
     }
   }
   // eBGP sessions over inter-domain links, created in adjacent twin pairs.
@@ -85,11 +93,7 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
   }
   // iBGP full mesh among each domain's border routers; i->j is twinned
   // with j->i.
-  for (const auto& domain : topo.domains()) {
-    std::vector<NodeId> borders;
-    for (const NodeId r : domain.routers) {
-      if (topo.router(r).border) borders.push_back(r);
-    }
+  for (const auto& borders : borders_) {
     const std::size_t base = sessions_.size();
     const std::size_t n = borders.size();
     const auto index = [&](std::size_t i, std::size_t j) {
@@ -126,7 +130,8 @@ void BgpSystem::originate(DomainId domain, Prefix prefix, OriginationPolicy poli
     recorder_->instant(obs::Domain::kBgp, "bgp.originate", domain.value(),
                        (std::uint64_t{prefix.address().bits()} << 8) | prefix.length());
   }
-  for (const NodeId node : speakers_of(domain)) {
+  mark_dirty(domain, prefix);
+  for (const NodeId node : borders_[domain.value()]) {
     speaker(node).originated[prefix] = policy;
     seed_self_route(node, prefix, policy);
   }
@@ -155,7 +160,8 @@ void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
     recorder_->instant(obs::Domain::kBgp, "bgp.withdraw", domain.value(),
                        (std::uint64_t{prefix.address().bits()} << 8) | prefix.length());
   }
-  for (const NodeId node : speakers_of(domain)) {
+  mark_dirty(domain, prefix);
+  for (const NodeId node : borders_[domain.value()]) {
     auto& st = speaker(node);
     st.originated.erase(prefix);
     st.adj_rib_in.erase({prefix, kSelfSession});
@@ -164,11 +170,12 @@ void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
 }
 
 std::vector<NodeId> BgpSystem::speakers_of(DomainId domain) const {
-  std::vector<NodeId> out;
-  for (const NodeId r : network_.topology().domain(domain).routers) {
-    if (network_.topology().router(r).border) out.push_back(r);
-  }
-  return out;  // domain.routers is in creation order == sorted
+  return borders_[domain.value()];
+}
+
+void BgpSystem::mark_dirty(DomainId domain, Prefix prefix) {
+  auto& dirt = install_dirt_[domain.value()];
+  if (!dirt.all) dirt.prefixes.push_back(prefix);
 }
 
 bool BgpSystem::preferred(const Route& a, const Route& b) {
@@ -204,6 +211,7 @@ void BgpSystem::decide(NodeId node, Prefix prefix) {
     if (had && current->second == *best) return;  // no effective change
     st.loc_rib[prefix] = *best;
   }
+  mark_dirty(st.domain, prefix);
   st.dirty.insert(prefix);
   schedule_send(node);
 }
@@ -413,6 +421,7 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
     if (!up) {
       // The crashed speaker loses all volatile RIB state; `originated`
       // stays (it is configuration, re-seeded on recovery).
+      for (const auto& [prefix, route] : st.loc_rib) mark_dirty(st.domain, prefix);
       st.adj_rib_in.clear();
       st.loc_rib.clear();
       st.adj_rib_out.clear();
@@ -485,95 +494,217 @@ net::LinkId BgpSystem::connecting_link(NodeId a, NodeId b) const {
   return best;
 }
 
+BgpSystem::InstallPlan BgpSystem::plan_install(
+    DomainId domain, const std::vector<Prefix>* only) const {
+  const auto& topo = network_.topology();
+  const auto& borders = borders_[domain.value()];
+  const std::size_t n = borders.size();
+  InstallPlan plan;
+  plan.borders = &borders;
+  plan.igp = igp_of_(domain);
+  std::vector<const SpeakerState*> states(n);
+  // Never install a BGP route for our own aggregate: intra-domain routing
+  // handles it. Likewise skip any prefix this domain originates itself
+  // (e.g. an anycast /32 with local members): internal reachability is the
+  // IGP's job, and clobbering the IGP's anycast routes would defeat local
+  // capture.
+  std::vector<Prefix> skipped{topo.domain(domain).prefix};
+  for (std::size_t i = 0; i < n; ++i) {
+    states[i] = &speaker(borders[i]);
+    for (const auto& [prefix, policy] : states[i]->originated) skipped.push_back(prefix);
+  }
+  std::sort(skipped.begin(), skipped.end());
+
+  // Plan one prefix from each border's best route for it (null if none).
+  std::vector<const Route*> at(n);
+  std::vector<std::uint32_t> candidates;
+  const auto add = [&](Prefix prefix) {
+    if (std::binary_search(skipped.begin(), skipped.end(), prefix)) return;
+    // Candidate egresses: each border router with a best route, except
+    // that an iBGP-learned copy egresses through its eBGP owner.
+    candidates.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (at[i] == nullptr) continue;
+      if (!at[i]->via_ibgp) {
+        candidates.push_back(i);
+        continue;
+      }
+      const auto owner =
+          std::lower_bound(borders.begin(), borders.end(), at[i]->egress_router);
+      assert(owner != borders.end() && *owner == at[i]->egress_router);
+      candidates.push_back(static_cast<std::uint32_t>(owner - borders.begin()));
+    }
+    if (candidates.empty()) return;
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    InstallPlan::PrefixEgresses entry{prefix,
+                                      static_cast<std::uint32_t>(plan.egresses.size())};
+    for (const std::uint32_t i : candidates) {
+      // At the egress itself: forward over the eBGP link. Self-originated
+      // and iBGP-learned routes (the owner may have lost its route) give
+      // no entry.
+      InstallPlan::Egress egress{i, std::nullopt};
+      if (const Route* route = at[i];
+          route != nullptr && route->learned != LearnedFrom::kSelf &&
+          !route->via_ibgp && route->via_link.valid() &&
+          topo.link_usable(route->via_link)) {
+        egress.at_egress =
+            FibEntry{prefix, route->ebgp_next_hop, route->via_link, RouteOrigin::kBgp,
+                     static_cast<Cost>(route->as_path.size())};
+      }
+      plan.egresses.push_back(std::move(egress));
+    }
+    entry.last = static_cast<std::uint32_t>(plan.egresses.size());
+    plan.prefixes.push_back(entry);
+  };
+
+  if (only != nullptr) {
+    for (const Prefix prefix : *only) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto it = states[i]->loc_rib.find(prefix);
+        at[i] = it == states[i]->loc_rib.end() ? nullptr : &it->second;
+      }
+      add(prefix);
+    }
+    return plan;
+  }
+  // Every routed prefix: merge the border Loc-RIBs, which are in prefix
+  // order, in one pass.
+  using Cursor = std::map<Prefix, Route>::const_iterator;
+  std::vector<Cursor> cursors(n);
+  for (std::size_t i = 0; i < n; ++i) cursors[i] = states[i]->loc_rib.begin();
+  while (true) {
+    const Prefix* next = nullptr;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (cursors[i] == states[i]->loc_rib.end()) continue;
+      if (next == nullptr || cursors[i]->first < *next) next = &cursors[i]->first;
+    }
+    if (next == nullptr) break;
+    const Prefix prefix = *next;
+    for (std::size_t i = 0; i < n; ++i) {
+      at[i] = nullptr;
+      if (cursors[i] != states[i]->loc_rib.end() && cursors[i]->first == prefix) {
+        at[i] = &cursors[i]->second;
+        ++cursors[i];
+      }
+    }
+    add(prefix);
+  }
+  return plan;
+}
+
+void BgpSystem::plan_routes(NodeId router, const InstallPlan& plan,
+                            std::vector<FibEntry>& out) const {
+  // IGP distance, first hop and link toward each border router, once per
+  // router rather than once per prefix.
+  struct Reach {
+    Cost distance = net::kInfiniteCost;
+    NodeId hop;
+    LinkId link;
+  };
+  const auto& borders = *plan.borders;
+  std::vector<Reach> reach(borders.size());
+  for (std::size_t i = 0; i < borders.size(); ++i) {
+    if (borders[i] == router) {
+      reach[i].distance = 0;
+    } else if (plan.igp != nullptr) {
+      reach[i].distance = plan.igp->distance(router, borders[i]);
+      reach[i].hop = plan.igp->next_hop(router, borders[i]);
+      if (reach[i].hop.valid()) reach[i].link = connecting_link(router, reach[i].hop);
+    }
+  }
+  // Both the plan and the FIB are in prefix order: search on from the
+  // last hit.
+  const auto& fib = network_.fib(router).entries();
+  auto cursor = fib.begin();
+  for (const auto& p : plan.prefixes) {
+    // Intra-domain routes win over BGP for an identical prefix (the
+    // "IGP-preferred" admin-distance rule; see DESIGN.md): a member
+    // domain's own anycast members must keep capturing local traffic
+    // even when a remote member peer-advertises the same /32 to us.
+    cursor = std::lower_bound(
+        cursor, fib.end(), p.prefix,
+        [](const FibEntry& e, const Prefix& prefix) { return e.prefix < prefix; });
+    if (cursor != fib.end() && cursor->prefix == p.prefix &&
+        cursor->origin != RouteOrigin::kBgp) {
+      continue;
+    }
+    // Hot potato: the IGP-closest egress; egresses are in NodeId order, so
+    // a tie goes to the lowest.
+    const InstallPlan::Egress* chosen = &plan.egresses[p.first];
+    for (std::uint32_t e = p.first + 1; e < p.last; ++e) {
+      if (reach[plan.egresses[e].border].distance < reach[chosen->border].distance) {
+        chosen = &plan.egresses[e];
+      }
+    }
+    const Reach& to = reach[chosen->border];
+    if (borders[chosen->border] == router) {
+      if (chosen->at_egress) out.push_back(*chosen->at_egress);
+    } else if (to.hop.valid()) {
+      out.push_back(FibEntry{p.prefix, to.hop, to.link, RouteOrigin::kBgp, to.distance});
+    }
+  }
+}
+
+std::vector<FibEntry> BgpSystem::recompute_routes(NodeId router) const {
+  const DomainId domain = network_.topology().router(router).domain;
+  std::vector<FibEntry> out;
+  if (borders_[domain.value()].empty()) return out;
+  plan_routes(router, plan_install(domain, nullptr), out);
+  return out;
+}
+
 void BgpSystem::install_routes() {
   const auto& topo = network_.topology();
+  // A link whose usability moved since the last install changes what its
+  // endpoints install (the egress link rule, connecting_link) and nothing
+  // else, whether or not the change was reported.
+  for (const auto& link : topo.links()) {
+    const bool usable = topo.link_usable(link.id);
+    if (usable == link_usable_[link.id.value()]) continue;
+    link_usable_[link.id.value()] = usable;
+    installed_epoch_[link.a.value()] = 0;
+    installed_epoch_[link.b.value()] = 0;
+  }
+  std::vector<FibEntry> routes;
   for (const auto& domain : topo.domains()) {
-    const auto borders = speakers_of(domain.id);
-    if (borders.empty()) continue;
-    const igp::Igp* igp = igp_of_(domain.id);
-
-    // Union of prefixes any border router can reach.
-    std::set<Prefix> prefixes;
-    for (const NodeId b : borders) {
-      for (const auto& [prefix, route] : speaker(b).loc_rib) prefixes.insert(prefix);
-    }
-
+    if (borders_[domain.id.value()].empty()) continue;  // no BGP routes
+    auto& dirt = install_dirt_[domain.id.value()];
+    auto& dirty = dirt.prefixes;
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    // Plans are built on first use: every prefix for wholly dirty routers,
+    // just the dirty ones for the rest.
+    std::optional<InstallPlan> whole_plan;
+    std::optional<InstallPlan> dirty_plan;
     for (const NodeId r : domain.routers) {
       auto& fib = network_.fib(r);
-      // Collected first, installed via replace_origins below: a sync that
-      // rederives the same BGP table leaves the route epoch (and thus the
-      // router's compiled forwarding state) untouched.
-      std::vector<FibEntry> routes;
-      for (const Prefix prefix : prefixes) {
-        // Never install a BGP route for our own aggregate: intra-domain
-        // routing handles it.
-        if (prefix == domain.prefix) continue;
-        // Likewise skip any prefix this domain originates itself (e.g. an
-        // anycast /32 with local members): internal reachability is the
-        // IGP's job, and clobbering the IGP's anycast routes would defeat
-        // local capture.
-        const bool originated_here = std::any_of(
-            borders.begin(), borders.end(), [&](NodeId b) {
-              return speaker(b).originated.contains(prefix);
-            });
-        if (originated_here) continue;
-        // Intra-domain routes win over BGP for an identical prefix (the
-        // "IGP-preferred" admin-distance rule; see DESIGN.md): a member
-        // domain's own anycast members must keep capturing local traffic
-        // even when a remote member peer-advertises the same /32 to us.
-        if (const auto* existing = fib.find(prefix);
-            existing != nullptr && existing->origin != RouteOrigin::kBgp) {
-          continue;
-        }
-
-        // Hot potato: the IGP-closest border router with a best route.
-        NodeId chosen = NodeId::invalid();
-        Cost chosen_cost = net::kInfiniteCost;
-        const Route* chosen_route = nullptr;
-        for (const NodeId b : borders) {
-          const auto& rib = speaker(b).loc_rib;
-          const auto it = rib.find(prefix);
-          if (it == rib.end()) continue;
-          // Don't egress through an iBGP-learned copy when its eBGP owner
-          // is also a candidate: route through the true egress.
-          const NodeId egress = it->second.via_ibgp ? it->second.egress_router : b;
-          const Cost d = (r == egress) ? 0
-                                       : (igp ? igp->distance(r, egress)
-                                              : net::kInfiniteCost);
-          if (d < chosen_cost || (d == chosen_cost && egress < chosen)) {
-            chosen = egress;
-            chosen_cost = d;
-            chosen_route = &it->second;
+      routes.clear();
+      if (dirt.all || fib.epoch() != installed_epoch_[r.value()]) {
+        if (!whole_plan) whole_plan = plan_install(domain.id, nullptr);
+        plan_routes(r, *whole_plan, routes);
+      } else if (!dirty.empty()) {
+        if (!dirty_plan) dirty_plan = plan_install(domain.id, &dirty);
+        // The FIB holds the installed table: keep its entries for clean
+        // prefixes and recompute the dirty ones.
+        for (const FibEntry& e : fib.entries()) {
+          if (e.origin == RouteOrigin::kBgp &&
+              !std::binary_search(dirty.begin(), dirty.end(), e.prefix)) {
+            routes.push_back(e);
           }
         }
-        if (!chosen.valid() || chosen_route == nullptr) continue;
-
-        if (r == chosen) {
-          // We are the egress: forward over the eBGP link. Self-originated
-          // routes need no FIB entry (IGP covers the domain).
-          const auto& rib = speaker(chosen).loc_rib;
-          const auto it = rib.find(prefix);
-          if (it == rib.end()) continue;
-          const Route& route = it->second;
-          if (route.learned == LearnedFrom::kSelf || route.via_ibgp) {
-            // via_ibgp at the egress itself shouldn't happen (egress
-            // resolution above); kSelf means the prefix is ours — skip.
-            continue;
-          }
-          if (!route.via_link.valid() || !topo.link_usable(route.via_link)) continue;
-          routes.push_back(FibEntry{prefix, route.ebgp_next_hop, route.via_link,
-                                    RouteOrigin::kBgp,
-                                    static_cast<Cost>(route.as_path.size())});
-        } else {
-          const NodeId hop = igp ? igp->next_hop(r, chosen) : NodeId::invalid();
-          if (!hop.valid()) continue;
-          const LinkId out = connecting_link(r, hop);
-          routes.push_back(
-              FibEntry{prefix, hop, out, RouteOrigin::kBgp, chosen_cost});
-        }
+        plan_routes(r, *dirty_plan, routes);
+      } else {
+        continue;
       }
+      // An unchanged table leaves the route epoch (and thus the router's
+      // compiled forwarding state) untouched.
       fib.replace_origins({RouteOrigin::kBgp}, routes);
+      installed_epoch_[r.value()] = fib.epoch();
     }
+    dirt.all = false;
+    dirty.clear();
   }
 }
 

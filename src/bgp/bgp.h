@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -53,8 +54,18 @@ class BgpSystem {
   void withdraw(net::DomainId domain, net::Prefix prefix);
 
   /// Push converged routes into every router's FIB (hot potato through the
-  /// domain's IGP). Call after the simulator reaches quiescence.
+  /// domain's IGP). Call after the simulator reaches quiescence. Only the
+  /// work whose inputs moved since the last call is redone: prefixes whose
+  /// Loc-RIB entry or origination changed at one of the domain's border
+  /// routers, and the whole table of a router that ends a link whose
+  /// usability changed or whose FIB another protocol rewrote (IGP
+  /// distances and shadowing non-BGP entries become visible that way).
   void install_routes();
+
+  /// `router`'s BGP table recomputed from scratch: what install_routes()
+  /// installs there when everything is dirty. Empty for routers of domains
+  /// without border routers.
+  std::vector<net::FibEntry> recompute_routes(net::NodeId router) const;
 
   /// Best route for `prefix` at `speaker`'s Loc-RIB, if any.
   const Route* best_route(net::NodeId speaker, net::Prefix prefix) const;
@@ -189,12 +200,60 @@ class BgpSystem {
   /// Find the cheapest up link between adjacent routers (for FIB entries).
   net::LinkId connecting_link(net::NodeId a, net::NodeId b) const;
 
+  /// Hot-potato inputs one domain's routers share for a set of prefixes:
+  /// per prefix, the candidate egress border routers.
+  struct InstallPlan {
+    struct Egress {
+      std::uint32_t border;  // index into `borders`
+      /// The entry the egress itself installs (an eBGP route over a usable
+      /// link), if any.
+      std::optional<net::FibEntry> at_egress;
+    };
+    struct PrefixEgresses {
+      net::Prefix prefix;
+      std::uint32_t first = 0, last = 0;  // range of `egresses`, by border
+    };
+    const std::vector<net::NodeId>* borders = nullptr;
+    const igp::Igp* igp = nullptr;
+    std::vector<PrefixEgresses> prefixes;
+    std::vector<Egress> egresses;
+  };
+
+  /// What install_routes() must redo in one domain since its last run.
+  struct InstallDirt {
+    bool all = true;                    // every prefix at every router
+    std::vector<net::Prefix> prefixes;  // unsorted, may repeat
+  };
+
+  /// Note that `prefix`'s install inputs changed in `domain`.
+  void mark_dirty(net::DomainId domain, net::Prefix prefix);
+
+  /// Build `domain`'s plan for the sorted prefixes in `only`, or for every
+  /// prefix one of its border routers has a best route for when null.
+  /// Prefixes the domain must not route over BGP (its own aggregate,
+  /// anything it originates) are left out.
+  InstallPlan plan_install(net::DomainId domain,
+                           const std::vector<net::Prefix>* only) const;
+
+  /// Append `router`'s hot-potato entries for the plan's prefixes to `out`.
+  void plan_routes(net::NodeId router, const InstallPlan& plan,
+                   std::vector<net::FibEntry>& out) const;
+
   sim::Simulator& simulator_;
   net::Network& network_;
   std::function<const igp::Igp*(net::DomainId)> igp_of_;
   BgpConfig config_;
   std::vector<Session> sessions_;
   std::unordered_map<std::uint32_t, SpeakerState> speakers_;  // by NodeId value
+  /// Border routers of each domain, sorted (by DomainId value).
+  std::vector<std::vector<net::NodeId>> borders_;
+  std::vector<InstallDirt> install_dirt_;  // by DomainId value
+  /// Each router's Fib::epoch() right after install_routes() last wrote or
+  /// checked its table; 0 forces a whole recompute (nothing installed yet,
+  /// or a link of the router changed usability). By NodeId value.
+  std::vector<std::uint64_t> installed_epoch_;
+  /// Each link's usability as of the last install (by LinkId value).
+  std::vector<bool> link_usable_;
   obs::Recorder* recorder_ = nullptr;
   std::uint64_t messages_sent_ = 0;
   bool started_ = false;

@@ -436,6 +436,34 @@ void check_state_bound(const EvolvableInternet& internet,
   }
 }
 
+/// ---- BGP-to-FIB install fixpoint -----------------------------------------
+
+void check_bgp_fib_fixpoint(const EvolvableInternet& internet,
+                            std::vector<Violation>& out) {
+  const auto& network = internet.network();
+  std::vector<net::FibEntry> installed;
+  for (const auto& router : internet.topology().routers()) {
+    installed.clear();
+    for (const net::FibEntry& e : network.fib(router.id).entries()) {
+      if (e.origin == net::RouteOrigin::kBgp) installed.push_back(e);
+    }
+    const auto expect = internet.bgp().recompute_routes(router.id);
+    if (installed == expect) continue;
+    // Name the first prefix where the two tables part.
+    const auto [got, want] = std::mismatch(installed.begin(), installed.end(),
+                                           expect.begin(), expect.end());
+    const net::Prefix at = got == installed.end() ? want->prefix
+                           : want == expect.end() ? got->prefix
+                                                  : std::min(got->prefix, want->prefix);
+    out.push_back({OracleKind::kBgpFibFixpoint, 0,
+                   "router " + node_str(router.id) + ": installed BGP routes (" +
+                       std::to_string(installed.size()) +
+                       ") differ from a recomputation (" +
+                       std::to_string(expect.size()) + ") first at " +
+                       at.to_string()});
+  }
+}
+
 }  // namespace
 
 const char* to_string(OracleKind oracle) {
@@ -450,6 +478,7 @@ const char* to_string(OracleKind oracle) {
     case OracleKind::kVnBoneConnectivity: return "vnbone-connectivity";
     case OracleKind::kAnycastStateBound: return "anycast-state-bound";
     case OracleKind::kConvergenceBudget: return "convergence-budget";
+    case OracleKind::kBgpFibFixpoint: return "bgp-fib-fixpoint";
   }
   return "?";
 }
@@ -470,6 +499,7 @@ std::vector<Violation> check_invariants(const EvolvableInternet& internet,
   check_gao_rexford(internet, out);
   check_vnbone(internet, healthy, out);
   check_state_bound(internet, out);
+  check_bgp_fib_fixpoint(internet, out);
   return out;
 }
 

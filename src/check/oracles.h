@@ -27,7 +27,10 @@
 //   kAnycastStateBound  anycast routing state is bounded by the number of
 //                       groups (§3.2 state-proportionality claim);
 //   kConvergenceBudget  reconvergence completes within an event budget
-//                       (emitted by the scenario runner, not here).
+//                       (emitted by the scenario runner, not here);
+//   kBgpFibFixpoint     every router's installed BGP routes equal a
+//                       from-scratch recomputation (the incremental
+//                       BGP-to-FIB install missed no input change).
 #pragma once
 
 #include <cstdint>
@@ -49,6 +52,7 @@ enum class OracleKind : std::uint8_t {
   kVnBoneConnectivity,
   kAnycastStateBound,
   kConvergenceBudget,
+  kBgpFibFixpoint,
 };
 
 const char* to_string(OracleKind oracle);

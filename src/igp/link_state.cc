@@ -14,6 +14,23 @@ using net::NodeId;
 using net::Prefix;
 using net::RouteOrigin;
 
+namespace {
+
+/// First hop from the SPF source toward `to` (reachable), read off the
+/// predecessor chain without materializing the path; the source itself
+/// when `to` is the source.
+NodeId first_hop(const net::ShortestPaths& spf, NodeId to) {
+  NodeId hop = to;
+  for (NodeId up = spf.predecessor[hop.value()];
+       up.valid() && spf.predecessor[up.value()].valid();
+       up = spf.predecessor[hop.value()]) {
+    hop = up;
+  }
+  return hop;
+}
+
+}  // namespace
+
 LinkStateIgp::LinkStateIgp(sim::Simulator& simulator, net::Network& network,
                            DomainId domain, LinkStateConfig config)
     : simulator_(simulator), network_(network), domain_(domain), config_(config) {
@@ -83,8 +100,7 @@ NodeId LinkStateIgp::next_hop(NodeId from, NodeId to) const {
   if (!st.spf_valid || to.value() >= st.spf.distance.size() || !st.spf.reachable(to)) {
     return NodeId::invalid();
   }
-  const auto path = st.spf.path_to(to);
-  return path.size() >= 2 ? path[1] : from;
+  return first_hop(st.spf, to);
 }
 
 void LinkStateIgp::on_link_change(LinkId link) {
@@ -212,19 +228,19 @@ void LinkStateIgp::run_spf(NodeId router) {
   // changed something.
   std::vector<FibEntry> routes;
   const auto& topo = network_.topology();
+  // The LSDB link to a first hop (the first adjacency reported for it).
+  const auto link_to = [&](NodeId hop) {
+    for (const net::Graph::Edge& e : graph.neighbors(router)) {
+      if (e.to == hop) return e.link;
+    }
+    return LinkId::invalid();
+  };
 
   // Unicast routes to every other router in the LSDB.
   for (const auto& [origin, lsa] : st.lsdb) {
     if (origin == router || !st.spf.reachable(origin)) continue;
-    const auto path = st.spf.path_to(origin);
-    assert(path.size() >= 2);
-    const NodeId hop = path[1];
-    const LinkId out = [&] {
-      for (const net::Graph::Edge& e : graph.neighbors(router)) {
-        if (e.to == hop) return e.link;
-      }
-      return LinkId::invalid();
-    }();
+    const NodeId hop = first_hop(st.spf, origin);
+    const LinkId out = link_to(hop);
     const auto& r = topo.router(origin);
     const Cost metric = st.spf.distance_to(origin);
     routes.push_back(
@@ -251,15 +267,8 @@ void LinkStateIgp::run_spf(NodeId router) {
   for (const auto& [addr, winner] : best) {
     const auto& [metric, member] = winner;
     if (member == router) continue;  // delivered locally; no route needed
-    const auto path = st.spf.path_to(member);
-    assert(path.size() >= 2);
-    const NodeId hop = path[1];
-    const LinkId out = [&] {
-      for (const net::Graph::Edge& e : graph.neighbors(router)) {
-        if (e.to == hop) return e.link;
-      }
-      return LinkId::invalid();
-    }();
+    const NodeId hop = first_hop(st.spf, member);
+    const LinkId out = link_to(hop);
     routes.push_back(
         FibEntry{Prefix::host(addr), hop, out, RouteOrigin::kAnycast, metric});
   }

@@ -6,6 +6,7 @@
 
 #include "bgp/bgp.h"
 #include "igp/link_state.h"
+#include "net/topology_gen.h"
 
 namespace evo::bgp {
 namespace {
@@ -157,12 +158,166 @@ TEST(BgpDetails, InstallRespectsIgpOverBgpForSamePrefix) {
   f.bgp->originate(b, Prefix::host(addr), policy);
   f.converge();
   // a1 (border) must keep its IGP anycast route toward a0.
-  const auto* entry = f.network.fib(a1).find(Prefix::host(addr));
+  const net::FibEntry* entry = f.network.fib(a1).find(Prefix::host(addr));
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->origin, net::RouteOrigin::kAnycast);
   const auto trace = f.network.trace(a1, addr);
   ASSERT_TRUE(trace.delivered());
   EXPECT_EQ(trace.delivered_at, a0);
+
+  // Once a0 leaves the group the IGP withdraws its /32, and with no BGP
+  // message in between the BGP route takes its place at a1.
+  const auto messages = f.bgp->messages_sent();
+  f.igps[0]->remove_anycast_member(a0, addr);
+  f.converge();
+  EXPECT_EQ(f.bgp->messages_sent(), messages);
+  entry = f.network.fib(a1).find(Prefix::host(addr));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->origin, net::RouteOrigin::kBgp);
+  EXPECT_EQ(entry->next_hop, rb);
+}
+
+TEST(BgpDetails, IntraDomainFlapMovesHotPotatoEgressWithoutMessages) {
+  // Domain a: internal routers i and j (j hangs off i) and borders b1, b2,
+  // each peering with c. i reaches b1 at cost 1 and b2 at cost 3, so c's
+  // prefix egresses at b1 until the i-b1 link fails.
+  Topology topo;
+  const auto a = topo.add_domain("a");
+  const auto c = topo.add_domain("c");
+  const auto i = topo.add_router(a);
+  const auto j = topo.add_router(a);
+  const auto b1 = topo.add_router(a);
+  const auto b2 = topo.add_router(a);
+  topo.add_link(j, i, 1);
+  const auto i_b1 = topo.add_link(i, b1, 1);
+  topo.add_link(i, b2, 3);
+  topo.add_link(b1, b2, 10);
+  const auto rc = topo.add_router(c);
+  topo.add_interdomain_link(b1, rc, Relationship::kPeer);
+  topo.add_interdomain_link(b2, rc, Relationship::kPeer);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Prefix target = f.network.topology().domain(c).prefix;
+  const auto* at_i = f.network.fib(i).find(target);
+  const auto* at_j = f.network.fib(j).find(target);
+  ASSERT_NE(at_i, nullptr);
+  ASSERT_NE(at_j, nullptr);
+  EXPECT_EQ(at_i->next_hop, b1);
+  EXPECT_EQ(at_j->next_hop, i);
+  EXPECT_EQ(at_j->metric, 2u);
+
+  const auto messages = f.bgp->messages_sent();
+  f.network.topology().set_link_up(i_b1, false);
+  f.igps[0]->on_link_change(i_b1);
+  f.converge();
+  EXPECT_EQ(f.bgp->messages_sent(), messages);
+  at_i = f.network.fib(i).find(target);
+  at_j = f.network.fib(j).find(target);
+  ASSERT_NE(at_i, nullptr);
+  ASSERT_NE(at_j, nullptr);
+  EXPECT_EQ(at_i->origin, net::RouteOrigin::kBgp);
+  EXPECT_EQ(at_i->next_hop, b2);
+  EXPECT_EQ(at_i->metric, 3u);
+  EXPECT_EQ(at_j->next_hop, i);
+  EXPECT_EQ(at_j->metric, 4u);
+
+  // Restoring the link moves the egress back.
+  f.network.topology().set_link_up(i_b1, true);
+  f.igps[0]->on_link_change(i_b1);
+  f.converge();
+  EXPECT_EQ(f.bgp->messages_sent(), messages);
+  EXPECT_EQ(f.network.fib(i).find(target)->next_hop, b1);
+  EXPECT_EQ(f.network.fib(j).find(target)->metric, 2u);
+}
+
+TEST(BgpDetails, CrashedSpeakerStopsAttractingHotPotatoTraffic) {
+  // Domain a: internal router i reaches border b1 through m at cost 2 and
+  // border b2 directly at cost 5; both borders peer with c. When b1
+  // crashes its Loc-RIB is wiped, so i must egress at b2 even while the
+  // IGP (not told of the crash here) still reports b1 as closest.
+  Topology topo;
+  const auto a = topo.add_domain("a");
+  const auto c = topo.add_domain("c");
+  const auto i = topo.add_router(a);
+  const auto m = topo.add_router(a);
+  const auto b1 = topo.add_router(a);
+  const auto b2 = topo.add_router(a);
+  topo.add_link(i, m, 1);
+  topo.add_link(m, b1, 1);
+  topo.add_link(i, b2, 5);
+  const auto rc = topo.add_router(c);
+  topo.add_interdomain_link(b1, rc, Relationship::kPeer);
+  topo.add_interdomain_link(b2, rc, Relationship::kPeer);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Prefix target = f.network.topology().domain(c).prefix;
+  ASSERT_NE(f.network.fib(i).find(target), nullptr);
+  EXPECT_EQ(f.network.fib(i).find(target)->next_hop, m);
+
+  f.network.topology().set_node_up(b1, false);
+  f.bgp->on_node_change(b1, false);
+  f.converge();
+  const auto* entry = f.network.fib(i).find(target);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->next_hop, b2);
+  EXPECT_EQ(entry->metric, 5u);
+
+  f.network.topology().set_node_up(b1, true);
+  f.bgp->on_node_change(b1, true);
+  f.converge();
+  EXPECT_EQ(f.network.fib(i).find(target)->next_hop, m);
+}
+
+TEST(BgpDetails, EgressDropsRouteOverUnusableLinkBeforeWithdrawal) {
+  // The egress installs an eBGP route only over a usable link. A link that
+  // went down without BGP being told yet (sessions still up, routes still
+  // in the Loc-RIB) must still lose its FIB entry at the next install.
+  Topology topo;
+  const auto a = topo.add_domain("a");
+  const auto c = topo.add_domain("c");
+  const auto i = topo.add_router(a);
+  const auto b = topo.add_router(a);
+  topo.add_link(i, b, 1);
+  const auto rc = topo.add_router(c);
+  const auto link = topo.add_interdomain_link(b, rc, Relationship::kPeer);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Prefix target = f.network.topology().domain(c).prefix;
+  const auto* entry = f.network.fib(b).find(target);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->out_link, link);
+
+  f.network.topology().set_link_up(link, false);
+  f.bgp->install_routes();
+  ASSERT_NE(f.bgp->best_route(b, target), nullptr);
+  EXPECT_EQ(f.network.fib(b).find(target), nullptr);
+
+  f.network.topology().set_link_up(link, true);
+  f.bgp->install_routes();
+  entry = f.network.fib(b).find(target);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->out_link, link);
+}
+
+TEST(BgpDetails, RepeatedInstallLeavesEveryEpoch) {
+  // An install on an unchanged state rewrites nothing, so no router's
+  // compiled forwarding table goes stale.
+  net::TransitStubParams params;
+  params.transit_domains = 3;
+  params.stubs_per_transit = 2;
+  params.seed = 9;
+  Fixture f(net::generate_transit_stub(params));
+  f.start_and_converge();
+  std::vector<std::uint64_t> epochs;
+  for (const auto& router : f.network.topology().routers()) {
+    epochs.push_back(f.network.fib(router.id).epoch());
+  }
+  f.bgp->install_routes();
+  f.bgp->install_routes();
+  for (const auto& router : f.network.topology().routers()) {
+    EXPECT_EQ(f.network.fib(router.id).epoch(), epochs[router.id.value()])
+        << "router " << router.id.value();
+  }
 }
 
 TEST(BgpDetails, UpdateBatchingBoundsMessages) {

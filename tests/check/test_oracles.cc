@@ -86,6 +86,30 @@ TEST(Oracles, SilentLinkDownIsCaught) {
   EXPECT_TRUE(found_forwarding_violation);
 }
 
+TEST(Oracles, CorruptedBgpRouteIsCaught) {
+  auto internet = healthy_internet();
+  // Rewrite one installed BGP route behind the control plane's back, as a
+  // missed incremental install would leave it: same prefix and next hop,
+  // wrong metric.
+  auto& fib = internet->network().fib(net::NodeId{0});
+  const net::FibEntry* victim = nullptr;
+  for (const net::FibEntry& entry : fib.entries()) {
+    if (entry.origin == net::RouteOrigin::kBgp) {
+      victim = &entry;
+      break;
+    }
+  }
+  ASSERT_NE(victim, nullptr);
+  net::FibEntry corrupted = *victim;
+  corrupted.metric += 1;
+  fib.insert(corrupted);
+  const auto violations = check_invariants(*internet);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations.front().oracle, OracleKind::kBgpFibFixpoint);
+  EXPECT_NE(violations.front().detail.find(corrupted.prefix.to_string()),
+            std::string::npos);
+}
+
 TEST(Oracles, ViolationDescribesItself) {
   Violation violation{OracleKind::kNoBlackhole, 3, "unit-test detail"};
   const std::string text = violation.describe();

@@ -156,6 +156,63 @@ TEST(BgpRoundTrip, CrashAndLinkFlapRestoreEveryLocRib) {
   EXPECT_EQ(loc_ribs(net), before) << "flap of link " << interdomain.value();
 }
 
+/// Every router's installed BGP routes, in FIB order.
+std::vector<std::vector<net::FibEntry>> bgp_tables(const EvolvableInternet& net) {
+  std::vector<std::vector<net::FibEntry>> out;
+  for (const auto& router : net.topology().routers()) {
+    auto& table = out.emplace_back();
+    for (const auto& entry : net.network().fib(router.id).entries()) {
+      if (entry.origin == net::RouteOrigin::kBgp) table.push_back(entry);
+    }
+  }
+  return out;
+}
+
+TEST(BgpRoundTrip, StubBorderCrashRestoresEveryBgpFibEntry) {
+  // A single-homed stub's only border router crashes: its prefix is
+  // withdrawn from every domain, so the incremental install must revisit
+  // that prefix everywhere, and recovery must put back exactly the
+  // pre-crash BGP entries at every router.
+  EvolvableInternet net(net::generate_transit_stub(
+      {.transit_domains = 3, .stubs_per_transit = 2, .multihoming_probability = 0.0,
+       .seed = 7}));
+  net.start();
+  net.deploy_domain(DomainId{0});
+  net.converge();
+  const auto before = bgp_tables(net);
+
+  NodeId border = NodeId::invalid();
+  for (const auto& domain : net.topology().domains()) {
+    const auto speakers = net.bgp().speakers_of(domain.id);
+    if (domain.stub && speakers.size() == 1) {
+      border = speakers.front();
+      break;
+    }
+  }
+  ASSERT_TRUE(border.valid());
+  const net::Prefix stub_prefix =
+      net.topology().domain(net.topology().router(border).domain).prefix;
+
+  net.set_node_up(border, false);
+  net.converge();
+  const auto during = bgp_tables(net);
+  for (const auto& router : net.topology().routers()) {
+    if (router.domain == net.topology().router(border).domain) continue;
+    const auto* entry = net.network().fib(router.id).find(stub_prefix);
+    EXPECT_TRUE(entry == nullptr || entry->origin != net::RouteOrigin::kBgp)
+        << "router " << router.id.value() << " still routes to the crashed stub";
+  }
+  ASSERT_NE(during, before) << "the crash must change some BGP entry";
+
+  net.set_node_up(border, true);
+  net.converge();
+  const auto after = bgp_tables(net);
+  for (const auto& router : net.topology().routers()) {
+    EXPECT_EQ(after[router.id.value()], before[router.id.value()])
+        << "router " << router.id.value();
+  }
+}
+
 TEST(DistanceVector, CountToInfinityIsBoundedOnPartition) {
   // Cutting the only link to a destination must terminate (metrics are
   // capped at config.infinity), leaving the destination unreachable —
