@@ -458,7 +458,7 @@ void BM_InstallRoutesAfterBorderCrash(benchmark::State& state) {
   f.bgp->install_routes();
   net::NodeId victim = net::NodeId::invalid();
   for (const auto& domain : f.network.topology().domains()) {
-    const auto speakers = f.bgp->speakers_of(domain.id);
+    const auto& speakers = f.bgp->speakers_of(domain.id);
     if (domain.stub && speakers.size() == 1) {
       victim = speakers.front();
       break;

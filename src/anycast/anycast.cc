@@ -116,7 +116,8 @@ void AnycastService::stop_peering_advertisement(GroupId group_id,
 
 bool AnycastService::member_reachable(const Group& group, DomainId domain) const {
   const auto& topo = network_.topology();
-  const auto speakers = bgp_ ? bgp_->speakers_of(domain) : std::vector<NodeId>{};
+  static const std::vector<NodeId> kNoSpeakers;
+  const auto& speakers = bgp_ ? bgp_->speakers_of(domain) : kNoSpeakers;
   const igp::Igp* igp = igp_of_(domain);
   for (const NodeId m : group.members) {
     const auto& router = topo.router(m);

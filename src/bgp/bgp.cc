@@ -169,11 +169,8 @@ void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
   }
 }
 
-std::vector<NodeId> BgpSystem::speakers_of(DomainId domain) const {
-  return borders_[domain.value()];
-}
-
 void BgpSystem::mark_dirty(DomainId domain, Prefix prefix) {
+  ++loc_rib_version_;
   auto& dirt = install_dirt_[domain.value()];
   if (!dirt.all) dirt.prefixes.push_back(prefix);
 }
@@ -647,11 +644,14 @@ void BgpSystem::plan_routes(NodeId router, const InstallPlan& plan,
   }
 }
 
-std::vector<FibEntry> BgpSystem::recompute_routes(NodeId router) const {
-  const DomainId domain = network_.topology().router(router).domain;
-  std::vector<FibEntry> out;
+std::vector<std::vector<FibEntry>> BgpSystem::recompute_routes(DomainId domain) const {
+  const auto& routers = network_.topology().domain(domain).routers;
+  std::vector<std::vector<FibEntry>> out(routers.size());
   if (borders_[domain.value()].empty()) return out;
-  plan_routes(router, plan_install(domain, nullptr), out);
+  const InstallPlan plan = plan_install(domain, nullptr);
+  for (std::size_t i = 0; i < routers.size(); ++i) {
+    plan_routes(routers[i], plan, out[i]);
+  }
   return out;
 }
 

@@ -62,10 +62,12 @@ class BgpSystem {
   /// distances and shadowing non-BGP entries become visible that way).
   void install_routes();
 
-  /// `router`'s BGP table recomputed from scratch: what install_routes()
-  /// installs there when everything is dirty. Empty for routers of domains
-  /// without border routers.
-  std::vector<net::FibEntry> recompute_routes(net::NodeId router) const;
+  /// The BGP tables of `domain`'s routers recomputed from scratch, one per
+  /// router in `Domain::routers` order: what install_routes() installs
+  /// there when everything is dirty. The domain's plan is built once and
+  /// shared by its routers. Every table is empty in a domain without
+  /// border routers.
+  std::vector<std::vector<net::FibEntry>> recompute_routes(net::DomainId domain) const;
 
   /// Best route for `prefix` at `speaker`'s Loc-RIB, if any.
   const Route* best_route(net::NodeId speaker, net::Prefix prefix) const;
@@ -86,7 +88,15 @@ class BgpSystem {
   std::uint64_t messages_sent() const { return messages_sent_; }
 
   /// The speakers (border routers) of a domain, sorted by NodeId.
-  std::vector<net::NodeId> speakers_of(net::DomainId domain) const;
+  const std::vector<net::NodeId>& speakers_of(net::DomainId domain) const {
+    return borders_[domain.value()];
+  }
+
+  /// Moves whenever some speaker's Loc-RIB may have changed (an insert,
+  /// replace or erase by the decision process, or a crash wiping it), so a
+  /// reader can cache what it derives from Loc-RIBs and drop the cache
+  /// when this moves.
+  std::uint64_t loc_rib_version() const { return loc_rib_version_; }
 
   /// Notify that an inter-domain link changed state: sessions over it come
   /// up or go down and routes are re-evaluated.
@@ -225,7 +235,8 @@ class BgpSystem {
     std::vector<net::Prefix> prefixes;  // unsorted, may repeat
   };
 
-  /// Note that `prefix`'s install inputs changed in `domain`.
+  /// Note that `prefix`'s install inputs changed in `domain`; moves
+  /// loc_rib_version().
   void mark_dirty(net::DomainId domain, net::Prefix prefix);
 
   /// Build `domain`'s plan for the sorted prefixes in `only`, or for every
@@ -256,6 +267,7 @@ class BgpSystem {
   std::vector<bool> link_usable_;
   obs::Recorder* recorder_ = nullptr;
   std::uint64_t messages_sent_ = 0;
+  std::uint64_t loc_rib_version_ = 0;
   bool started_ = false;
 };
 

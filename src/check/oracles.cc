@@ -441,26 +441,91 @@ void check_state_bound(const EvolvableInternet& internet,
 void check_bgp_fib_fixpoint(const EvolvableInternet& internet,
                             std::vector<Violation>& out) {
   const auto& network = internet.network();
+  // One recomputation per domain; violations are reported in router order.
+  std::vector<std::pair<NodeId, Violation>> found;
   std::vector<net::FibEntry> installed;
-  for (const auto& router : internet.topology().routers()) {
-    installed.clear();
-    for (const net::FibEntry& e : network.fib(router.id).entries()) {
-      if (e.origin == net::RouteOrigin::kBgp) installed.push_back(e);
+  for (const auto& domain : internet.topology().domains()) {
+    const auto expected = internet.bgp().recompute_routes(domain.id);
+    for (std::size_t i = 0; i < domain.routers.size(); ++i) {
+      const NodeId router = domain.routers[i];
+      const auto& expect = expected[i];
+      installed.clear();
+      for (const net::FibEntry& e : network.fib(router).entries()) {
+        if (e.origin == net::RouteOrigin::kBgp) installed.push_back(e);
+      }
+      if (installed == expect) continue;
+      // Name the first prefix where the two tables part.
+      const auto [got, want] = std::mismatch(installed.begin(), installed.end(),
+                                             expect.begin(), expect.end());
+      net::Prefix at = got == installed.end() ? want->prefix : got->prefix;
+      if (got != installed.end() && want != expect.end()) {
+        at = std::min(got->prefix, want->prefix);
+      }
+      found.push_back({router,
+                       {OracleKind::kBgpFibFixpoint, 0,
+                        "router " + node_str(router) + ": installed BGP routes (" +
+                            std::to_string(installed.size()) +
+                            ") differ from a recomputation (" +
+                            std::to_string(expect.size()) + ") first at " +
+                            at.to_string()}});
     }
-    const auto expect = internet.bgp().recompute_routes(router.id);
-    if (installed == expect) continue;
-    // Name the first prefix where the two tables part.
-    const auto [got, want] = std::mismatch(installed.begin(), installed.end(),
-                                           expect.begin(), expect.end());
-    const net::Prefix at = got == installed.end() ? want->prefix
-                           : want == expect.end() ? got->prefix
-                                                  : std::min(got->prefix, want->prefix);
-    out.push_back({OracleKind::kBgpFibFixpoint, 0,
-                   "router " + node_str(router.id) + ": installed BGP routes (" +
-                       std::to_string(installed.size()) +
-                       ") differ from a recomputation (" +
-                       std::to_string(expect.size()) + ") first at " +
-                       at.to_string()});
+  }
+  std::sort(found.begin(), found.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [router, violation] : found) out.push_back(std::move(violation));
+}
+
+/// ---- vN routing tables fixpoint ------------------------------------------
+
+/// (active ingress, destination router) pairs sampled per IP generation.
+/// Each costs 8 from-scratch routes (2 addresses x 4 egress modes), about
+/// 30 us each at 480 routers.
+constexpr std::uint32_t kVnRoutePairs = 8;
+
+void check_vn_route_fixpoint(const EvolvableInternet& internet,
+                             const OracleOptions& options,
+                             std::vector<Violation>& out) {
+  using net::IpvNAddr;
+  using vnbone::EgressMode;
+  const auto describe = [](const vnbone::VnBone::VnRoute& r) {
+    if (!r.ok) return std::string("no route");
+    return "egress " + node_str(r.egress) + " cost " + std::to_string(r.vn_cost) +
+           " over " + std::to_string(r.vn_hop_count()) + " hops" +
+           (r.exits_to_legacy ? " to legacy" : "");
+  };
+  const auto& topo = internet.topology();
+  sim::Rng rng{sim::derive_seed(options.probe_seed, 0x7AB)};
+  const auto routers = static_cast<std::int64_t>(topo.router_count());
+  for (std::size_t g = 0; g < internet.generation_count(); ++g) {
+    const auto& vnbone = internet.generation(g);
+    const auto active = vnbone.active_members();
+    if (active.empty()) continue;
+    const std::uint8_t version = vnbone.config().version;
+    for (std::uint32_t i = 0; i < kVnRoutePairs; ++i) {
+      const NodeId ingress = rng.pick(active);
+      const NodeId to{static_cast<std::uint32_t>(rng.uniform_int(0, routers - 1))};
+      const auto& at = topo.router(to);
+      // Both addresses a host at `at` can have: native (its domain
+      // deployed) and self-addressed (a legacy domain).
+      for (const IpvNAddr dst :
+           {IpvNAddr::native(version, at.domain.value(), at.id.value(), 0),
+            IpvNAddr::self(version, at.loopback)}) {
+        for (const EgressMode mode :
+             {EgressMode::kExitAtIngress, EgressMode::kOwnPathKnowledge,
+              EgressMode::kProxyAdvertising, EgressMode::kEndhostAdvertised}) {
+          const auto got = vnbone.route(ingress, dst, mode);
+          const auto want = vnbone.reference_route(ingress, dst, mode);
+          if (got == want) continue;
+          out.push_back({OracleKind::kVnRouteFixpoint, 0,
+                         "generation " + std::to_string(g) + " ingress " +
+                             node_str(ingress) + " to " +
+                             (dst.is_self_address() ? "self" : "native") +
+                             " address at " + node_str(at.id) + " under " +
+                             vnbone::to_string(mode) + ": tables give " +
+                             describe(got) + ", recomputation " + describe(want)});
+        }
+      }
+    }
   }
 }
 
@@ -479,6 +544,7 @@ const char* to_string(OracleKind oracle) {
     case OracleKind::kAnycastStateBound: return "anycast-state-bound";
     case OracleKind::kConvergenceBudget: return "convergence-budget";
     case OracleKind::kBgpFibFixpoint: return "bgp-fib-fixpoint";
+    case OracleKind::kVnRouteFixpoint: return "vn-route-fixpoint";
   }
   return "?";
 }
@@ -500,6 +566,7 @@ std::vector<Violation> check_invariants(const EvolvableInternet& internet,
   check_vnbone(internet, healthy, out);
   check_state_bound(internet, out);
   check_bgp_fib_fixpoint(internet, out);
+  check_vn_route_fixpoint(internet, options, out);
   return out;
 }
 

@@ -30,7 +30,10 @@
 //                       (emitted by the scenario runner, not here);
 //   kBgpFibFixpoint     every router's installed BGP routes equal a
 //                       from-scratch recomputation (the incremental
-//                       BGP-to-FIB install missed no input change).
+//                       BGP-to-FIB install missed no input change);
+//   kVnRouteFixpoint    vN routes read from the vN-Bone's routing tables
+//                       equal routes computed from scratch (no table
+//                       outlived the input it derives from).
 #pragma once
 
 #include <cstdint>
@@ -53,6 +56,7 @@ enum class OracleKind : std::uint8_t {
   kAnycastStateBound,
   kConvergenceBudget,
   kBgpFibFixpoint,
+  kVnRouteFixpoint,
 };
 
 const char* to_string(OracleKind oracle);

@@ -67,12 +67,25 @@ void VnBone::ensure_group(DomainId first_domain) {
 
 void VnBone::deploy_router(NodeId router) {
   if (!deployed_.insert(router).second) return;
-  ensure_group(network_.topology().router(router).domain);
+  const DomainId domain = network_.topology().router(router).domain;
+  if (members_.size() <= domain.value()) members_.resize(domain.value() + 1);
+  auto& members = members_[domain.value()];
+  members.insert(std::lower_bound(members.begin(), members.end(), router), router);
+  if (members.size() == 1) {
+    domains_.insert(std::lower_bound(domains_.begin(), domains_.end(), domain), domain);
+  }
+  ensure_group(domain);
   anycast_.add_member(group_, router);
 }
 
 void VnBone::undeploy_router(NodeId router) {
   if (deployed_.erase(router) == 0) return;
+  const DomainId domain = network_.topology().router(router).domain;
+  auto& members = members_[domain.value()];
+  members.erase(std::lower_bound(members.begin(), members.end(), router));
+  if (members.empty()) {
+    domains_.erase(std::lower_bound(domains_.begin(), domains_.end(), domain));
+  }
   anycast_.remove_member(group_, router);
 }
 
@@ -82,19 +95,9 @@ void VnBone::deploy_domain(DomainId domain) {
   }
 }
 
-bool VnBone::domain_deployed(DomainId domain) const {
-  for (const NodeId r : deployed_) {
-    if (network_.topology().router(r).domain == domain) return true;
-  }
-  return false;
-}
-
-std::vector<NodeId> VnBone::deployed_routers_in(DomainId domain) const {
-  std::vector<NodeId> out;
-  for (const NodeId r : deployed_) {
-    if (network_.topology().router(r).domain == domain) out.push_back(r);
-  }
-  return out;
+const std::vector<NodeId>& VnBone::deployed_routers_in(DomainId domain) const {
+  static const std::vector<NodeId> kNone;
+  return domain.value() < members_.size() ? members_[domain.value()] : kNone;
 }
 
 bool VnBone::active(NodeId router) const {
@@ -102,10 +105,10 @@ bool VnBone::active(NodeId router) const {
 }
 
 bool VnBone::domain_active(DomainId domain) const {
-  for (const NodeId r : deployed_) {
-    if (network_.topology().router(r).domain == domain && active(r)) return true;
-  }
-  return false;
+  const auto& members = deployed_routers_in(domain);
+  return std::any_of(members.begin(), members.end(), [&](NodeId r) {
+    return network_.topology().router(r).up;
+  });
 }
 
 std::vector<NodeId> VnBone::active_routers() const {
@@ -118,21 +121,9 @@ std::vector<NodeId> VnBone::active_routers() const {
 
 std::vector<NodeId> VnBone::active_routers_in(DomainId domain) const {
   std::vector<NodeId> out;
-  for (const NodeId r : deployed_) {
-    if (network_.topology().router(r).domain == domain && active(r)) {
-      out.push_back(r);
-    }
+  for (const NodeId r : deployed_routers_in(domain)) {
+    if (network_.topology().router(r).up) out.push_back(r);
   }
-  return out;
-}
-
-std::vector<DomainId> VnBone::deployed_domains() const {
-  std::vector<DomainId> out;
-  for (const NodeId r : deployed_) {
-    const DomainId d = network_.topology().router(r).domain;
-    if (std::find(out.begin(), out.end(), d) == out.end()) out.push_back(d);
-  }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -147,6 +138,8 @@ void VnBone::remove_manual_tunnel(NodeId a, NodeId b) {
 
 void VnBone::rebuild() {
   links_.clear();
+  graph_.reset();
+  trees_.clear();
   partition_repairs_ = 0;
   bootstrap_tunnels_ = 0;
   obs::SpanId span;
@@ -162,7 +155,7 @@ void VnBone::rebuild() {
   }
 
   const auto& topo = network_.topology();
-  const auto domains = deployed_domains();
+  const auto& domains = deployed_domains();
 
   // Dedup helper: canonical (low, high) pairs already linked.
   std::set<std::pair<std::uint32_t, std::uint32_t>> have;
@@ -408,40 +401,75 @@ Graph VnBone::virtual_graph() const {
   return g;
 }
 
-Cost VnBone::legacy_path_length(DomainId domain, DomainId target) const {
-  if (domain == target) return 0;
-  if (bgp_ == nullptr) return net::kInfiniteCost;
+VnBone::LegacyReach VnBone::scan_legacy(DomainId domain, DomainId target) const {
+  if (domain == target) return {0, NodeId::invalid()};
+  LegacyReach reach;
+  if (bgp_ == nullptr) return reach;
   const Prefix prefix = net::Topology::domain_prefix(target);
-  Cost best = net::kInfiniteCost;
   for (const NodeId b : bgp_->speakers_of(domain)) {
     const bgp::Route* route = bgp_->best_route(b, prefix);
-    if (route != nullptr) best = std::min<Cost>(best, route->as_path.size());
+    if (route != nullptr && route->as_path.size() < reach.length) {
+      reach = {route->as_path.size(), b};
+    }
   }
-  return best;
+  return reach;
+}
+
+VnBone::LegacyReach VnBone::table_legacy(DomainId domain, DomainId target) const {
+  if (bgp_ == nullptr) return scan_legacy(domain, target);
+  if (legacy_version_ != bgp_->loc_rib_version()) {
+    legacy_.clear();
+    legacy_version_ = bgp_->loc_rib_version();
+  }
+  // Only deployed domains advertise, so most rows are never allocated.
+  const std::size_t n = network_.topology().domain_count();
+  if (legacy_.size() != n) legacy_.resize(n);
+  auto& row = legacy_[domain.value()];
+  if (row.size() != n) row.assign(n, std::nullopt);
+  auto& entry = row[target.value()];
+  if (!entry) entry = scan_legacy(domain, target);
+  return *entry;
+}
+
+Cost VnBone::legacy_path_length(DomainId domain, DomainId target) const {
+  return scan_legacy(domain, target).length;
 }
 
 std::vector<DomainId> VnBone::legacy_path(DomainId domain, DomainId target) const {
-  if (domain == target || bgp_ == nullptr) return {};
-  const Prefix prefix = net::Topology::domain_prefix(target);
-  const bgp::Route* best = nullptr;
-  for (const NodeId b : bgp_->speakers_of(domain)) {
-    const bgp::Route* route = bgp_->best_route(b, prefix);
-    if (route != nullptr &&
-        (best == nullptr || route->as_path.size() < best->as_path.size())) {
-      best = route;
-    }
+  const LegacyReach reach = scan_legacy(domain, target);
+  if (!reach.border.valid()) return {};
+  return bgp_->best_route(reach.border, net::Topology::domain_prefix(target))->as_path;
+}
+
+const net::ShortestPaths& VnBone::tree_from(NodeId ingress) const {
+  if (!graph_ || graph_->size() != network_.topology().router_count()) {
+    graph_ = virtual_graph();
+    trees_.assign(graph_->size(), std::nullopt);
   }
-  return best == nullptr ? std::vector<DomainId>{} : best->as_path;
+  auto& tree = trees_[ingress.value()];
+  if (!tree) tree = net::dijkstra(*graph_, ingress);
+  return *tree;
 }
 
 VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
-                              std::optional<EgressMode> mode_override) const {
+                              std::optional<EgressMode> mode) const {
+  if (!active(ingress)) return {};
+  return select_route(ingress, dst, mode.value_or(config_.egress_mode),
+                      tree_from(ingress), &VnBone::table_legacy);
+}
+
+VnBone::VnRoute VnBone::reference_route(NodeId ingress, IpvNAddr dst,
+                                        std::optional<EgressMode> mode) const {
+  if (!active(ingress)) return {};
+  return select_route(ingress, dst, mode.value_or(config_.egress_mode),
+                      net::dijkstra(virtual_graph(), ingress), &VnBone::scan_legacy);
+}
+
+VnBone::VnRoute VnBone::select_route(NodeId ingress, IpvNAddr dst, EgressMode mode,
+                                     const net::ShortestPaths& paths,
+                                     LegacyFn reach_of) const {
   VnRoute result;
-  if (!active(ingress)) return result;
   const auto& topo = network_.topology();
-  const EgressMode mode = mode_override.value_or(config_.egress_mode);
-  const Graph vgraph = virtual_graph();
-  const auto paths = net::dijkstra(vgraph, ingress);
 
   auto finish_at = [&](NodeId egress, bool legacy) {
     if (egress != ingress && !paths.reachable(egress)) return;
@@ -476,7 +504,8 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
     igp::Igp* igp = igp_of_(home_domain);
     NodeId egress = NodeId::invalid();
     Cost egress_d = net::kInfiniteCost;
-    for (const NodeId r : active_routers_in(home_domain)) {
+    for (const NodeId r : deployed_routers_in(home_domain)) {
+      if (!topo.router(r).up) continue;
       const Cost d = igp ? igp->distance(r, home) : net::kInfiniteCost;
       if (d < egress_d || (d == egress_d && r < egress)) {
         egress = r;
@@ -507,12 +536,18 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
         finish_at(ingress, /*legacy=*/true);
         return result;
       }
-      const auto path = legacy_path(my_domain, *target_domain);
+      const LegacyReach reach = (this->*reach_of)(my_domain, *target_domain);
       DomainId chosen = DomainId::invalid();
-      for (auto it = path.rbegin(); it != path.rend(); ++it) {  // nearest target first
-        if (domain_active(*it)) {
-          chosen = *it;
-          break;
+      if (reach.border.valid()) {
+        const auto& path =
+            bgp_->best_route(reach.border, net::Topology::domain_prefix(*target_domain))
+                ->as_path;
+        // Nearest the target first.
+        for (auto it = path.rbegin(); it != path.rend(); ++it) {
+          if (domain_active(*it)) {
+            chosen = *it;
+            break;
+          }
         }
       }
       if (!chosen.valid()) {
@@ -522,7 +557,8 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       // Within the chosen domain, use the vN-closest deployed router.
       NodeId egress = NodeId::invalid();
       Cost egress_d = net::kInfiniteCost;
-      for (const NodeId r : active_routers_in(chosen)) {
+      for (const NodeId r : deployed_routers_in(chosen)) {
+        if (!topo.router(r).up) continue;
         const Cost d = (r == ingress) ? 0 : paths.distance_to(r);
         if (d < egress_d || (d == egress_d && r < egress)) {
           egress = r;
@@ -551,9 +587,10 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       NodeId egress = NodeId::invalid();
       Cost best_score = net::kInfiniteCost;
       for (const DomainId d : deployed_domains()) {
-        const Cost legacy_len = legacy_path_length(d, *target_domain);
+        const Cost legacy_len = (this->*reach_of)(d, *target_domain).length;
         if (legacy_len == net::kInfiniteCost) continue;
-        for (const NodeId r : active_routers_in(d)) {
+        for (const NodeId r : deployed_routers_in(d)) {
+          if (!topo.router(r).up) continue;
           const Cost vn_d = (r == ingress) ? 0 : paths.distance_to(r);
           if (vn_d == net::kInfiniteCost) continue;
           const Cost score = vn_d + config_.as_hop_weight * legacy_len;
@@ -576,14 +613,14 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
 
 std::size_t VnBone::vn_rib_size(NodeId router) const {
   if (!deployed(router)) return 0;
-  const auto domains = deployed_domains();
+  const auto& domains = deployed_domains();
   std::size_t size = domains.size();  // native vN prefixes
   if (config_.egress_mode == EgressMode::kProxyAdvertising && bgp_ != nullptr) {
     // One proxy entry per (deployed domain, reachable legacy domain).
     for (const DomainId d : domains) {
       for (const auto& target : network_.topology().domains()) {
         if (domain_deployed(target.id)) continue;
-        if (legacy_path_length(d, target.id) != net::kInfiniteCost) ++size;
+        if (table_legacy(d, target.id).length != net::kInfiniteCost) ++size;
       }
     }
   }

@@ -32,6 +32,7 @@
 #include "anycast/anycast.h"
 #include "bgp/bgp.h"
 #include "igp/igp.h"
+#include "net/graph.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -134,12 +135,16 @@ class VnBone {
   void deploy_domain(net::DomainId domain);
 
   bool deployed(net::NodeId router) const { return deployed_.contains(router); }
-  bool domain_deployed(net::DomainId domain) const;
+  bool domain_deployed(net::DomainId domain) const {
+    return !deployed_routers_in(domain).empty();
+  }
   std::vector<net::NodeId> deployed_routers() const {
     return {deployed_.begin(), deployed_.end()};
   }
-  std::vector<net::NodeId> deployed_routers_in(net::DomainId domain) const;
-  std::vector<net::DomainId> deployed_domains() const;
+  /// `domain`'s deployed routers, sorted by NodeId.
+  const std::vector<net::NodeId>& deployed_routers_in(net::DomainId domain) const;
+  /// Domains with at least one deployed router, sorted.
+  const std::vector<net::DomainId>& deployed_domains() const { return domains_; }
 
   /// The routers actually participating in the bone right now: deployed
   /// AND up. Const inspection point for invariant oracles (the fuzzer's
@@ -188,17 +193,42 @@ class VnBone {
     std::size_t vn_hop_count() const {
       return vn_hops.empty() ? 0 : vn_hops.size() - 1;
     }
+
+    friend bool operator==(const VnRoute&, const VnRoute&) = default;
   };
 
   /// Route an IPvN packet from `ingress` (a deployed router) toward `dst`
   /// under `mode`; the config's mode is used when `mode` is nullopt.
+  ///
+  /// Routing reads the vN routing state an IPvN router holds, kept in
+  /// tables filled on first use, each cleared by the one input it derives
+  /// from:
+  ///   - the shortest-path tree from each ingress over the virtual links
+  ///     (cleared by rebuild(), which alone changes the links);
+  ///   - the proxy-distance table: per (domain, target domain), the
+  ///     BGPv(N-1) path length and the border router holding that route
+  ///     (cleared when BgpSystem::loc_rib_version() moves);
+  ///   - the deployed routers of each domain (kept by deploy_router and
+  ///     undeploy_router).
+  /// Whether a router is up and IGP distances are read live on every
+  /// call, so routes taken during a failure, before the next rebuild,
+  /// see crashed members at once. The tables are filled from const calls,
+  /// so a VnBone must not be routed from by two threads at once; parallel
+  /// sweeps give each cell its own internet.
   VnRoute route(net::NodeId ingress, net::IpvNAddr dst,
                 std::optional<EgressMode> mode = std::nullopt) const;
+
+  /// route() computed without the tables: a fresh Dijkstra over
+  /// virtual_graph() and direct legacy_path_length() scans. Same egress
+  /// selection; the vn-route-fixpoint oracle compares the two.
+  VnRoute reference_route(net::NodeId ingress, net::IpvNAddr dst,
+                          std::optional<EgressMode> mode = std::nullopt) const;
 
   /// BGPv(N-1) AS-path length from `domain` to `target` (min over the
   /// domain's border routers); kInfiniteCost when unknown. This is the
   /// information an IPvN border router "acquires from its domain's
   /// IPv(N-1) border router" (Fig. 3) and advertises by proxy (Fig. 4).
+  /// Read from the Loc-RIBs on every call.
   net::Cost legacy_path_length(net::DomainId domain, net::DomainId target) const;
 
   /// The BGPv(N-1) AS path from `domain` to `target` (shortest among the
@@ -223,6 +253,29 @@ class VnBone {
   std::size_t vn_rib_size(net::NodeId router) const;
 
  private:
+  /// A domain's BGPv(N-1) reach toward a target domain: the shortest AS
+  /// path length over its border routers and the first border (in NodeId
+  /// order) holding a route that short. The border is invalid when the
+  /// domain is the target or has no route.
+  struct LegacyReach {
+    net::Cost length = net::kInfiniteCost;
+    net::NodeId border;
+  };
+  /// Read from the Loc-RIBs.
+  LegacyReach scan_legacy(net::DomainId domain, net::DomainId target) const;
+  /// Read from the proxy-distance table, filling the entry on first use.
+  LegacyReach table_legacy(net::DomainId domain, net::DomainId target) const;
+  using LegacyFn = LegacyReach (VnBone::*)(net::DomainId, net::DomainId) const;
+
+  /// The shortest-path tree from `ingress` over the virtual links, built
+  /// on first use after a rebuild().
+  const net::ShortestPaths& tree_from(net::NodeId ingress) const;
+
+  /// The egress selection behind route() and reference_route(), given the
+  /// tree from an active `ingress` and a source of legacy reach.
+  VnRoute select_route(net::NodeId ingress, net::IpvNAddr dst, EgressMode mode,
+                       const net::ShortestPaths& paths, LegacyFn reach_of) const;
+
   void ensure_group(net::DomainId first_domain);
   igp::Igp* igp_for_node(net::NodeId node) const;
 
@@ -245,11 +298,20 @@ class VnBone {
   net::GroupId group_ = net::GroupId::invalid();
   net::DomainId default_domain_ = net::DomainId::invalid();
   std::set<net::NodeId> deployed_;
+  std::vector<std::vector<net::NodeId>> members_;  // deployed, by DomainId value
+  std::vector<net::DomainId> domains_;             // deployed domains, sorted
   std::set<std::pair<net::NodeId, net::NodeId>> manual_tunnels_;  // (low, high)
   std::map<net::IpvNAddr, net::NodeId> endhost_routes_;
   std::vector<VirtualLink> links_;
   std::size_t partition_repairs_ = 0;
   std::size_t bootstrap_tunnels_ = 0;
+
+  // vN routing tables (see route()).
+  mutable std::optional<net::Graph> graph_;
+  mutable std::vector<std::optional<net::ShortestPaths>> trees_;  // by NodeId value
+  // Proxy-distance table, [domain][target]; rows allocated on first use.
+  mutable std::vector<std::vector<std::optional<LegacyReach>>> legacy_;
+  mutable std::uint64_t legacy_version_ = 0;
 };
 
 }  // namespace evo::vnbone

@@ -229,9 +229,9 @@ TEST(BgpSystem, MessagesCounted) {
 
 TEST(BgpSystem, SpeakersOfListsBorders) {
   Fixture f(chain3());
-  const auto speakers = f.bgp->speakers_of(DomainId{1});
+  const auto& speakers = f.bgp->speakers_of(DomainId{1});
   ASSERT_EQ(speakers.size(), 2u);  // both b routers have interdomain links
-  const auto a_speakers = f.bgp->speakers_of(DomainId{0});
+  const auto& a_speakers = f.bgp->speakers_of(DomainId{0});
   ASSERT_EQ(a_speakers.size(), 1u);
 }
 

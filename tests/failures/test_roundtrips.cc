@@ -183,7 +183,7 @@ TEST(BgpRoundTrip, StubBorderCrashRestoresEveryBgpFibEntry) {
 
   NodeId border = NodeId::invalid();
   for (const auto& domain : net.topology().domains()) {
-    const auto speakers = net.bgp().speakers_of(domain.id);
+    const auto& speakers = net.bgp().speakers_of(domain.id);
     if (domain.stub && speakers.size() == 1) {
       border = speakers.front();
       break;
