@@ -458,13 +458,6 @@ void BgpSystem::for_each_best_route(
   for (const auto& [prefix, route] : speaker(node).loc_rib) fn(route);
 }
 
-std::vector<Prefix> BgpSystem::loc_rib_prefixes(NodeId node) const {
-  std::vector<Prefix> out;
-  if (!is_speaker(node)) return out;
-  for (const auto& [prefix, route] : speaker(node).loc_rib) out.push_back(prefix);
-  return out;
-}
-
 std::size_t BgpSystem::loc_rib_size(NodeId node, bool anycast_only) const {
   if (!is_speaker(node)) return 0;
   const auto& st = speaker(node);

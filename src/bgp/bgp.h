@@ -78,9 +78,6 @@ class BgpSystem {
   void for_each_best_route(net::NodeId speaker,
                            const std::function<void(const Route&)>& fn) const;
 
-  /// All prefixes with a best route at `speaker`.
-  std::vector<net::Prefix> loc_rib_prefixes(net::NodeId speaker) const;
-
   /// Loc-RIB size (for routing-state experiments). `anycast_only` counts
   /// just anycast routes.
   std::size_t loc_rib_size(net::NodeId speaker, bool anycast_only = false) const;

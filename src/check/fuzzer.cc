@@ -82,37 +82,18 @@ void drop_one_route(EvolvableInternet& internet, std::uint64_t seed,
 
 void apply_event(EvolvableInternet& internet, const FailureEvent& event,
                  Breakage breakage) {
-  switch (event.kind) {
-    case FailureKind::kLinkDown:
-      if (breakage == Breakage::kSilentLinkDown) {
-        // Poke the topology directly: no protocol is notified, so FIBs
-        // keep forwarding into the dead link — the bug class the oracles
-        // exist to catch.
-        if (auto* recorder = internet.recorder()) {
-          recorder->instant(obs::Domain::kCheck, "check.inject.silent_link_down",
-                            event.subject);
-        }
-        internet.network().topology().set_link_up(LinkId{event.subject}, false);
-      } else {
-        internet.set_link_up(LinkId{event.subject}, false);
-      }
-      break;
-    case FailureKind::kLinkUp:
-      internet.set_link_up(LinkId{event.subject}, true);
-      break;
-    case FailureKind::kNodeDown:
-      internet.set_node_up(NodeId{event.subject}, false);
-      break;
-    case FailureKind::kNodeUp:
-      internet.set_node_up(NodeId{event.subject}, true);
-      break;
-    case FailureKind::kMemberLoss:
-      internet.undeploy_router(NodeId{event.subject});
-      break;
-    case FailureKind::kMemberJoin:
-      internet.deploy_router(NodeId{event.subject});
-      break;
+  if (event.kind == FailureKind::kLinkDown && breakage == Breakage::kSilentLinkDown) {
+    // Poke the topology directly: no protocol is notified, so FIBs keep
+    // forwarding into the dead link — the bug class the oracles exist to
+    // catch.
+    if (auto* recorder = internet.recorder()) {
+      recorder->instant(obs::Domain::kCheck, "check.inject.silent_link_down",
+                        event.subject);
+    }
+    internet.network().topology().set_link_up(LinkId{event.subject}, false);
+    return;
   }
+  core::apply_event(internet, event);
 }
 
 std::uint64_t state_digest(EvolvableInternet& internet) {

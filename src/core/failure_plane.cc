@@ -29,6 +29,29 @@ std::optional<FailureKind> failure_kind_from_string(std::string_view name) {
   return std::nullopt;
 }
 
+void apply_event(EvolvableInternet& internet, const FailureEvent& event) {
+  switch (event.kind) {
+    case FailureKind::kLinkDown:
+      internet.set_link_up(LinkId{event.subject}, false);
+      break;
+    case FailureKind::kLinkUp:
+      internet.set_link_up(LinkId{event.subject}, true);
+      break;
+    case FailureKind::kNodeDown:
+      internet.set_node_up(NodeId{event.subject}, false);
+      break;
+    case FailureKind::kNodeUp:
+      internet.set_node_up(NodeId{event.subject}, true);
+      break;
+    case FailureKind::kMemberLoss:
+      internet.undeploy_router(NodeId{event.subject});
+      break;
+    case FailureKind::kMemberJoin:
+      internet.deploy_router(NodeId{event.subject});
+      break;
+  }
+}
+
 FailureSchedule& FailureSchedule::add(sim::TimePoint at, FailureKind kind,
                                       std::uint32_t subject) {
   events_.push_back(FailureEvent{at, kind, subject});
@@ -114,26 +137,7 @@ void FailurePlane::apply(const FailureEvent& event) {
         (std::uint64_t{static_cast<std::uint8_t>(event.kind)} << 32) |
             event.subject);
   }
-  switch (event.kind) {
-    case FailureKind::kLinkDown:
-      internet_.set_link_up(LinkId{event.subject}, false);
-      break;
-    case FailureKind::kLinkUp:
-      internet_.set_link_up(LinkId{event.subject}, true);
-      break;
-    case FailureKind::kNodeDown:
-      internet_.set_node_up(NodeId{event.subject}, false);
-      break;
-    case FailureKind::kNodeUp:
-      internet_.set_node_up(NodeId{event.subject}, true);
-      break;
-    case FailureKind::kMemberLoss:
-      internet_.undeploy_router(NodeId{event.subject});
-      break;
-    case FailureKind::kMemberJoin:
-      internet_.deploy_router(NodeId{event.subject});
-      break;
-  }
+  apply_event(internet_, event);
   ++applied_;
   metrics_.increment("net.failure.events");
   metrics_.increment(std::string("net.failure.events.") + to_string(event.kind));

@@ -60,6 +60,11 @@ struct FailureEvent {
   std::uint32_t subject;  // LinkId value for link events, NodeId otherwise
 };
 
+/// Apply one churn event to `internet` through its control plane (link and
+/// node state changes, IPvN router undeploy/redeploy). FailurePlane and the
+/// scenario fuzzer both apply events through this.
+void apply_event(EvolvableInternet& internet, const FailureEvent& event);
+
 /// Builder for an ordered churn schedule. Events keep the order implied by
 /// their nominal times (stable for ties: insertion order wins).
 class FailureSchedule {

@@ -56,6 +56,88 @@ std::string EndToEndTrace::describe() const {
   return out;
 }
 
+IpvnWalk::IpvnWalk(const EvolvableInternet& internet, std::size_t generation,
+                   HostId src, HostId dst, net::Ipv4Addr outer_dst,
+                   const IngressRule* accept, std::optional<vnbone::EgressMode> mode)
+    : topology_(internet.topology()),
+      vnbone_(internet.generation(generation)),
+      accept_(accept),
+      mode_(mode),
+      dst_(dst) {
+  if (dst.valid()) inner_ = internet.generation_hosts(generation).make_header(src, dst);
+  // Leg 1: the encapsulated datagram rides unicast toward `outer_dst`; the
+  // network delivers it to a router that may become the ingress.
+  const auto& host = topology_.host(src);
+  leg_ = Leg{Segment::Kind::kAnycastIngress, host.access_router, host.address,
+             outer_dst, NodeId::invalid(), EndToEndTrace::Failure::kIngressFailed};
+}
+
+void IpvnWalk::arrive(NodeId at) {
+  if (leg_.kind == Segment::Kind::kAnycastIngress) {
+    if (!at.valid() || !vnbone_.deployed(at) ||
+        (accept_ != nullptr && !(*accept_)(at))) {
+      return finish(EndToEndTrace::Failure::kIngressFailed);
+    }
+    result_.ingress = at;
+    if (!dst_.valid()) return finish(EndToEndTrace::Failure::kNone);
+    // The ingress decapsulates and routes over the vN-Bone.
+    result_.vn_route = vnbone_.route(at, inner_.dst, mode_);
+    if (!result_.vn_route.ok) return finish(EndToEndTrace::Failure::kVnRoutingFailed);
+    result_.egress = result_.vn_route.egress;
+  } else if (at != leg_.arrive_at) {
+    return finish(leg_.failure);
+  }
+  next_leg();
+}
+
+void IpvnWalk::next_leg() {
+  const auto& route = result_.vn_route;
+  if (hop_ + 1 < route.vn_hops.size()) {
+    const NodeId a = route.vn_hops[hop_];
+    const NodeId b = route.vn_hops[++hop_];
+    leg_ = Leg{Segment::Kind::kTunnel, a, topology_.router(a).loopback,
+               topology_.router(b).loopback, b, EndToEndTrace::Failure::kTunnelFailed};
+    return;
+  }
+  // Exit: either a native IPv(N-1) tail to the legacy destination, or
+  // native IPvN delivery at the destination's access router.
+  const NodeId dst_access = topology_.host(dst_).access_router;
+  if (route.exits_to_legacy && leg_.kind != Segment::Kind::kLegacyEgress) {
+    leg_ = Leg{Segment::Kind::kLegacyEgress, route.egress,
+               topology_.router(route.egress).loopback, inner_.legacy_dst, dst_access,
+               EndToEndTrace::Failure::kEgressFailed};
+    return;
+  }
+  finish(route.exits_to_legacy || route.egress == dst_access
+             ? EndToEndTrace::Failure::kNone
+             : EndToEndTrace::Failure::kEgressFailed);
+}
+
+void IpvnWalk::finish(EndToEndTrace::Failure failure) {
+  done_ = true;
+  result_.failure = failure;
+  result_.delivered = failure == EndToEndTrace::Failure::kNone;
+}
+
+namespace {
+
+/// The synchronous carrier: trace each leg of `walk` and record it as a
+/// segment of the result.
+EndToEndTrace trace_walk(const net::Network& network, IpvnWalk& walk) {
+  EndToEndTrace& result = walk.result();
+  while (!walk.done()) {
+    const Leg& leg = walk.leg();
+    Segment& segment = result.segments.emplace_back();
+    segment.kind = leg.kind;
+    segment.trace = network.trace(leg.from, leg.outer_dst);
+    walk.arrive(segment.trace.delivered() ? segment.trace.delivered_at
+                                          : NodeId::invalid());
+  }
+  return std::move(result);
+}
+
+}  // namespace
+
 EndToEndTrace send_ipvn(const EvolvableInternet& internet, HostId src, HostId dst,
                         std::optional<vnbone::EgressMode> mode) {
   return send_ipvn_generation(internet, 0, src, dst, mode);
@@ -78,93 +160,22 @@ std::vector<EndToEndTrace> send_ipvn_batch(const EvolvableInternet& internet,
 EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
                                    std::size_t generation, HostId src, HostId dst,
                                    std::optional<vnbone::EgressMode> mode) {
-  EndToEndTrace result;
-  const auto& network = internet.network();
-  const auto& topo = network.topology();
   const auto& vnbone = internet.generation(generation);
-
   if (!vnbone.anycast_group().valid()) {
+    EndToEndTrace result;
     result.failure = EndToEndTrace::Failure::kNoDeployment;
     return result;
   }
-
-  const net::Packet packet =
-      internet.generation_hosts(generation).make_datagram(src, dst);
-  // Leg 1: encapsulated packet rides unicast to the anycast address; the
-  // network delivers it to the closest IPvN router (the ingress).
-  if (enter_at_ingress(network, vnbone, topo.host(src).access_router,
-                       packet.outer().v4.dst, result)) {
-    complete_from_ingress(internet, packet.layers().front().vn, dst, mode, result,
-                          generation);
-  }
-  return result;
+  IpvnWalk walk(internet, generation, src, dst, vnbone.anycast_address(), nullptr,
+                mode);
+  return trace_walk(internet.network(), walk);
 }
 
-bool enter_at_ingress(const net::Network& network, const vnbone::VnBone& vnbone,
-                      NodeId from, net::Ipv4Addr outer_dst, EndToEndTrace& result,
-                      const std::function<bool(NodeId)>& accept) {
-  Segment& segment = result.segments.emplace_back();
-  segment.kind = Segment::Kind::kAnycastIngress;
-  segment.trace = network.trace(from, outer_dst);
-  const NodeId at = segment.trace.delivered_at;
-  if (!segment.trace.delivered() || !vnbone.deployed(at) || (accept && !accept(at))) {
-    result.failure = EndToEndTrace::Failure::kIngressFailed;
-    return false;
-  }
-  result.ingress = at;
-  return true;
-}
-
-LegPlan plan_legs(const net::Topology& topology,
-                  const vnbone::VnBone::VnRoute& route,
-                  const net::IpvNHeader& inner, HostId dst) {
-  LegPlan plan;
-  plan.legs.reserve(route.vn_hops.size());
-  for (std::size_t i = 0; i + 1 < route.vn_hops.size(); ++i) {
-    const NodeId b = route.vn_hops[i + 1];
-    plan.legs.push_back(Leg{Segment::Kind::kTunnel, route.vn_hops[i],
-                            topology.router(b).loopback, b,
-                            EndToEndTrace::Failure::kTunnelFailed});
-  }
-  // Exit: either a native IPv(N-1) tail to the legacy destination, or
-  // native IPvN delivery at the destination's access router.
-  const NodeId dst_access = topology.host(dst).access_router;
-  if (route.exits_to_legacy) {
-    plan.legs.push_back(Leg{Segment::Kind::kLegacyEgress, route.egress,
-                            inner.legacy_dst, dst_access,
-                            EndToEndTrace::Failure::kEgressFailed});
-  } else if (route.egress != dst_access) {
-    plan.exit_failure = EndToEndTrace::Failure::kEgressFailed;
-  }
-  return plan;
-}
-
-void complete_from_ingress(const EvolvableInternet& internet,
-                           const net::IpvNHeader& inner, HostId dst,
-                           std::optional<vnbone::EgressMode> mode,
-                           EndToEndTrace& result, std::size_t generation) {
-  const auto& network = internet.network();
-
-  // The ingress decapsulates and routes over the vN-Bone.
-  result.vn_route = internet.generation(generation).route(result.ingress, inner.dst,
-                                                          mode);
-  if (!result.vn_route.ok) {
-    result.failure = EndToEndTrace::Failure::kVnRoutingFailed;
-    return;
-  }
-  result.egress = result.vn_route.egress;
-  const LegPlan plan = plan_legs(network.topology(), result.vn_route, inner, dst);
-  for (const Leg& leg : plan.legs) {
-    Segment& segment = result.segments.emplace_back();
-    segment.kind = leg.kind;
-    segment.trace = network.trace(leg.from, leg.outer_dst);
-    if (!segment.trace.delivered() || segment.trace.delivered_at != leg.arrive_at) {
-      result.failure = leg.failure;
-      return;
-    }
-  }
-  result.failure = plan.exit_failure;
-  result.delivered = plan.exit_failure == EndToEndTrace::Failure::kNone;
+EndToEndTrace send_ipvn_to(const EvolvableInternet& internet, HostId src, HostId dst,
+                           net::Ipv4Addr outer_dst, const IngressRule& accept,
+                           std::optional<vnbone::EgressMode> mode) {
+  IpvnWalk walk(internet, 0, src, dst, outer_dst, accept ? &accept : nullptr, mode);
+  return trace_walk(internet.network(), walk);
 }
 
 NodeId register_endhost_route(EvolvableInternet& internet, HostId host) {
@@ -172,14 +183,10 @@ NodeId register_endhost_route(EvolvableInternet& internet, HostId host) {
   if (!vnbone.anycast_group().valid()) return NodeId::invalid();
   const auto addr = internet.hosts().ipvn_address(host);
   if (!addr.is_self_address()) return NodeId::invalid();
-  EndToEndTrace leg;
-  if (!enter_at_ingress(internet.network(), vnbone,
-                        internet.topology().host(host).access_router,
-                        vnbone.anycast_address(), leg)) {
-    return NodeId::invalid();
-  }
-  vnbone.register_endhost_route(addr, leg.ingress);
-  return leg.ingress;
+  IpvnWalk probe(internet, 0, host, HostId::invalid(), vnbone.anycast_address());
+  const NodeId advertiser = trace_walk(internet.network(), probe).ingress;
+  if (advertiser.valid()) vnbone.register_endhost_route(addr, advertiser);
+  return advertiser;
 }
 
 Cost oracle_host_distance(const EvolvableInternet& internet, HostId src, HostId dst) {

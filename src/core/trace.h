@@ -1,7 +1,15 @@
-// End-to-end IPvN delivery tracing across all three legs of the paper's
-// data path: anycast ingress (host -> closest IPvN router), vN-Bone
-// transit (tunneled virtual hops), and egress (native IPv(N-1) tail to a
-// legacy destination, or native IPvN delivery at the access router).
+// End-to-end IPvN delivery across the paper's data path (§3.2–§3.3): an
+// encapsulated leg to an IPvN ingress (found by anycast, a broker, or a
+// chosen provider), one tunnel per vN-Bone virtual hop, then the native
+// IPv(N-1) tail to a legacy destination (or native IPvN delivery at the
+// destination's access router).
+//
+// One IpvnWalk decides every step of that path for one datagram: which
+// router may act as its ingress, the vN route, the legs, and every failure
+// class. Carriers only move its legs. The synchronous carrier here traces
+// each leg and records it as a Segment (send_ipvn and friends);
+// IpvnTransport (core/transport.h) injects each leg into the event-driven
+// DeliveryEngine.
 #pragma once
 
 #include <cstdint>
@@ -57,34 +65,77 @@ struct EndToEndTrace {
 
 const char* to_string(EndToEndTrace::Failure failure);
 
-/// One leg of the data path past the ingress: an IPv(N-1) packet sent from
-/// `from` toward `outer_dst` that must be delivered at `arrive_at`, or the
-/// datagram fails with `failure`.
+/// One leg of a datagram's path: an IPv(N-1) packet from `outer_src`,
+/// injected at router `from` toward `outer_dst`. The ingress leg may land
+/// on any router the walk accepts as an ingress; every later leg must be
+/// delivered at `arrive_at`, or the datagram fails with `failure`.
 struct Leg {
   Segment::Kind kind = Segment::Kind::kTunnel;
   net::NodeId from;
+  net::Ipv4Addr outer_src;
   net::Ipv4Addr outer_dst;
   net::NodeId arrive_at;
   EndToEndTrace::Failure failure = EndToEndTrace::Failure::kNone;
 };
 
-/// The legs an IPvN datagram takes after its ingress, in order: one tunnel
-/// per vN-Bone virtual hop, then the native IPv(N-1) tail when the route
-/// exits to a legacy destination. `exit_failure` is reported once every leg
-/// has arrived: kEgressFailed when the route ends natively at a router other
-/// than the destination's access router, kNone (delivered) otherwise.
-struct LegPlan {
-  std::vector<Leg> legs;
-  EndToEndTrace::Failure exit_failure = EndToEndTrace::Failure::kNone;
-};
+/// A caller's own condition on the router an ingress leg lands on (a
+/// broker's pick, a provider's domain), on top of it being deployed.
+using IngressRule = std::function<bool(net::NodeId)>;
 
-/// Plan the legs of `route` (an ok route whose first vN hop is the ingress)
-/// for a datagram with IPvN header `inner` bound for host `dst`. Both
-/// send_ipvn (synchronous traces) and IpvnTransport (simulator events)
-/// walk this plan.
-LegPlan plan_legs(const net::Topology& topology,
-                  const vnbone::VnBone::VnRoute& route,
-                  const net::IpvNHeader& inner, net::HostId dst);
+/// One IPvN datagram's walk along its legs, as a resumable state machine:
+/// a carrier sends leg(), reports where it landed with arrive(), and
+/// repeats until done(). The walk pauses between the two calls, so an
+/// event-driven carrier can resume it from inside a simulator event.
+///
+/// The first leg is the ingress leg, from the source's access router
+/// toward `outer_dst`. When it lands on a deployed router that `accept`
+/// (if any) allows, that router routes the datagram over the vN-Bone once,
+/// and the walk goes on with one tunnel per virtual hop and then, for a
+/// legacy destination, the native tail. The walk allocates nothing beyond
+/// its vN route; result() carries the outcome, and the segments a
+/// synchronous carrier appends to it.
+class IpvnWalk {
+ public:
+  /// A datagram from `src` to `dst` through IP generation `generation`.
+  /// `accept` may be null and must otherwise outlive the walk. A walk
+  /// with an invalid `dst` ends at its accepted ingress (§3.3.2's
+  /// registration probe); it carries no IPvN header.
+  IpvnWalk(const EvolvableInternet& internet, std::size_t generation, net::HostId src,
+           net::HostId dst, net::Ipv4Addr outer_dst,
+           const IngressRule* accept = nullptr,
+           std::optional<vnbone::EgressMode> mode = std::nullopt);
+
+  /// True once the datagram was delivered or has failed.
+  bool done() const { return done_; }
+  /// The leg to carry next. Requires !done().
+  const Leg& leg() const { return leg_; }
+  /// Report the router leg() was delivered at (invalid() when it was
+  /// dropped) and advance to the next leg, or finish.
+  void arrive(net::NodeId at);
+
+  /// The datagram's IPvN header, which every leg encapsulates.
+  const net::IpvNHeader& inner() const { return inner_; }
+  /// Ingress, vN route, egress, failure and delivery so far.
+  const EndToEndTrace& result() const { return result_; }
+  EndToEndTrace& result() { return result_; }
+
+ private:
+  /// Set leg_ to the tunnel after the current vN hop, or the legacy tail,
+  /// or finish once the last leg has arrived.
+  void next_leg();
+  void finish(EndToEndTrace::Failure failure);
+
+  const net::Topology& topology_;
+  const vnbone::VnBone& vnbone_;
+  const IngressRule* accept_;
+  std::optional<vnbone::EgressMode> mode_;
+  net::HostId dst_;
+  net::IpvNHeader inner_;
+  Leg leg_;
+  std::size_t hop_ = 0;  // index in vn_route.vn_hops where leg_ starts
+  bool done_ = false;
+  EndToEndTrace result_;
+};
 
 /// Send one IPvN datagram from `src` to `dst` through the full paper
 /// data path. `mode` overrides the configured egress-selection mode.
@@ -117,26 +168,15 @@ EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
                                    std::optional<vnbone::EgressMode> mode =
                                        std::nullopt);
 
-/// The ingress leg every IPvN driver shares: the encapsulated packet rides
-/// unicast from `from` toward `outer_dst` (an anycast address, or a
-/// broker's unicast pick) and is recorded as the kAnycastIngress segment
-/// of `result`. The router it lands on becomes `result.ingress` when
-/// `vnbone` has it deployed and `accept` (the caller's own rule, if any)
-/// agrees; otherwise `result.failure` is kIngressFailed. Returns whether
-/// the ingress was accepted.
-bool enter_at_ingress(const net::Network& network, const vnbone::VnBone& vnbone,
-                      net::NodeId from, net::Ipv4Addr outer_dst,
-                      EndToEndTrace& result,
-                      const std::function<bool(net::NodeId)>& accept = nullptr);
-
-/// Complete a delivery whose ingress was already determined (by anycast,
-/// a broker lookup, or a user-selected provider): runs the vN-Bone leg
-/// and the egress leg, appending segments to `result` and setting
-/// delivered/failure. `result.ingress` must be a deployed router.
-void complete_from_ingress(const EvolvableInternet& internet,
-                           const net::IpvNHeader& inner, net::HostId dst,
-                           std::optional<vnbone::EgressMode> mode,
-                           EndToEndTrace& result, std::size_t generation = 0);
+/// Send one IPvN datagram through the primary generation whose ingress leg
+/// goes to `outer_dst` instead of the anycast address: a broker's unicast
+/// pick, or a provider's own address. The landing router must also pass
+/// `accept` (empty: any deployed router); from there on the path is the
+/// anycast one.
+EndToEndTrace send_ipvn_to(const EvolvableInternet& internet, net::HostId src,
+                           net::HostId dst, net::Ipv4Addr outer_dst,
+                           const IngressRule& accept,
+                           std::optional<vnbone::EgressMode> mode = std::nullopt);
 
 /// §3.3.2 endhost route advertisement: `host` uses anycast to find a
 /// nearby IPvN router and registers its temporary (self) address there

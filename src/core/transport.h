@@ -1,12 +1,13 @@
 // Event-driven IPvN datagram transport — the latency-accurate, socket-like
 // counterpart of the synchronous tracer in core/trace.h.
 //
-// A datagram rides the full paper data path as simulator events: the
-// encapsulated packet travels hop-by-hop to the anycast ingress, then the
-// legs plan_legs() lays out (one v4 tunnel per vN-Bone virtual hop, then the
-// native egress tail) are injected one after another; link latencies accrue
-// in simulated time. Hosts register receive callbacks; senders may register
-// failure callbacks.
+// The transport is the event-driven carrier of an IpvnWalk: it injects each
+// leg the walk hands out (the encapsulated datagram to the anycast ingress,
+// one v4 tunnel per vN-Bone virtual hop, the native egress tail) into a
+// DeliveryEngine and resumes the walk from the event where the leg landed,
+// so link latencies accrue in simulated time. The walk decides routes and
+// failures; the transport only reports them. Hosts register receive
+// callbacks; senders may register failure callbacks.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +29,12 @@ class IpvnTransport {
   using FailureFn =
       std::function<void(EndToEndTrace::Failure failure, std::uint64_t payload_id)>;
 
+  /// Carry datagrams through IP generation `generation` (its vN-Bone,
+  /// anycast group and host addressing), as send_ipvn_generation does.
   /// `internet` must outlive the transport and all in-flight datagrams.
   /// Per-hop packet records go to the recorder attached to `internet` at
   /// construction, if any.
-  explicit IpvnTransport(EvolvableInternet& internet);
+  explicit IpvnTransport(EvolvableInternet& internet, std::size_t generation = 0);
 
   /// Register (or replace) the receive callback of `host`. Datagrams for
   /// hosts without a listener count as received but invoke nothing.
@@ -47,16 +50,19 @@ class IpvnTransport {
   std::uint64_t datagrams_failed() const { return failed_; }
 
  private:
-  /// One datagram in flight: its identity, callbacks and leg plan.
+  /// One datagram in flight: its identity, callbacks and walk.
   struct Flight;
 
-  /// Inject the flight's next planned leg, or finish once all have arrived.
-  void next_leg(const std::shared_ptr<Flight>& flight);
+  /// Inject the flight's next leg, or report its outcome once the walk is
+  /// done.
+  void carry(const std::shared_ptr<Flight>& flight);
 
-  void finish(const Flight& flight);
-  void fail(EndToEndTrace::Failure failure, const Flight& flight);
+  /// Count and signal a finished walk's outcome: delivery to the
+  /// destination's listener, or its failure to the sender's callback.
+  void report(const Flight& flight);
 
   EvolvableInternet& internet_;
+  std::size_t generation_;
   net::DeliveryEngine engine_;
   std::unordered_map<std::uint32_t, ReceiveFn> listeners_;  // by HostId value
   std::uint64_t sent_ = 0;

@@ -49,25 +49,23 @@ std::optional<HostId> HostStack::host_by_ipvn(IpvNAddr addr) const {
 
 Packet HostStack::make_datagram(HostId src, HostId dst,
                                 std::uint64_t payload_id) const {
-  const auto& dst_host = network_.topology().host(dst);
-  return make_datagram_to(src, ipvn_address(dst), dst_host.address, payload_id);
+  Packet packet = net::make_encapsulated(make_header(src, dst),
+                                         network_.topology().host(src).address,
+                                         vnbone_.anycast_address());
+  packet.payload_id = payload_id;
+  return packet;
 }
 
-Packet HostStack::make_datagram_to(HostId src, IpvNAddr dst, Ipv4Addr legacy_dst,
-                                   std::uint64_t payload_id) const {
-  const auto& src_host = network_.topology().host(src);
+net::IpvNHeader HostStack::make_header(HostId src, HostId dst) const {
   net::IpvNHeader inner;
   inner.src = ipvn_address(src);
-  inner.dst = dst;
+  inner.dst = ipvn_address(dst);
   // "The destination's IPv(N-1) address could ... be carried in a separate
   // option field in the IPvN header" — always set it so egress routing
   // works for native destinations behind non-IPvN access routers too.
-  inner.legacy_dst = legacy_dst;
+  inner.legacy_dst = network_.topology().host(dst).address;
   inner.has_legacy_dst = true;
-  Packet packet =
-      net::make_encapsulated(inner, src_host.address, vnbone_.anycast_address());
-  packet.payload_id = payload_id;
-  return packet;
+  return inner;
 }
 
 }  // namespace evo::host

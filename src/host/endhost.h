@@ -45,11 +45,10 @@ class HostStack {
   net::Packet make_datagram(net::HostId src, net::HostId dst,
                             std::uint64_t payload_id = 0) const;
 
-  /// Build a datagram to an explicit IPvN destination (for hosts
-  /// addressing services rather than peer hosts).
-  net::Packet make_datagram_to(net::HostId src, net::IpvNAddr dst,
-                               net::Ipv4Addr legacy_dst,
-                               std::uint64_t payload_id = 0) const;
+  /// The IPvN header of that datagram alone: source and destination
+  /// addresses, with the destination's IPv(N-1) address as the
+  /// legacy-destination option.
+  net::IpvNHeader make_header(net::HostId src, net::HostId dst) const;
 
  private:
   const net::Network& network_;

@@ -161,17 +161,6 @@ std::vector<Network::TraceResult> Network::trace_batch(
   return results;
 }
 
-void Network::export_forwarding_metrics(sim::MetricRegistry& metrics) const {
-  metrics.increment("net.forwarding.traces",
-                    static_cast<std::int64_t>(forwarding_stats_.traces));
-  metrics.increment("net.forwarding.lookups",
-                    static_cast<std::int64_t>(forwarding_stats_.lookups));
-  metrics.increment("net.forwarding.fib_compiles",
-                    static_cast<std::int64_t>(forwarding_stats_.fib_compiles));
-  metrics.increment("net.forwarding.cache_hits",
-                    static_cast<std::int64_t>(forwarding_stats_.cache_hits));
-}
-
 std::string Network::describe(const TraceResult& result) const {
   std::string out = to_string(result.outcome);
   out += ":";

@@ -25,7 +25,6 @@
 #include "net/packet.h"
 #include "net/topology.h"
 #include "obs/recorder.h"
-#include "sim/metrics.h"
 #include "sim/time.h"
 
 namespace evo::net {
@@ -127,10 +126,6 @@ class Network {
     std::uint64_t cache_hits = 0;    // hops served by an already-fresh table
   };
   const ForwardingStats& forwarding_stats() const { return forwarding_stats_; }
-
-  /// Export the forwarding counters into `metrics` under
-  /// "net.forwarding.*" (traces, lookups, fib_compiles, cache_hits).
-  void export_forwarding_metrics(sim::MetricRegistry& metrics) const;
 
   /// Telemetry sink for data-plane structure events (per-router compiled
   /// FIB recompiles). Null by default.

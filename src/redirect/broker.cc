@@ -66,17 +66,13 @@ core::EndToEndTrace send_ipvn_via_broker(const core::EvolvableInternet& internet
                                          HostId dst,
                                          std::optional<vnbone::EgressMode> mode) {
   core::EndToEndTrace result;
-  const auto& network = internet.network();
-  const auto& topo = network.topology();
-  const auto& vnbone = internet.vnbone();
-
-  if (!vnbone.anycast_group().valid()) {
+  if (!internet.vnbone().anycast_group().valid()) {
     result.failure = core::EndToEndTrace::Failure::kNoDeployment;
     return result;
   }
 
-  const NodeId src_access = topo.host(src).access_router;
-  const auto target = broker.lookup(src_access);
+  const auto& topo = internet.topology();
+  const auto target = broker.lookup(topo.host(src).access_router);
   if (!target) {
     // The broker knows no IPvN router: the client is locked out even
     // though a deployment may exist (non-participating ISPs).
@@ -86,18 +82,10 @@ core::EndToEndTrace send_ipvn_via_broker(const core::EvolvableInternet& internet
 
   // The client tunnels the encapsulated datagram to the broker-provided
   // *unicast* address (no anycast involved). Staleness bites here: the
-  // router must still be deployed to accept the encapsulated packet.
-  const net::Packet packet = internet.hosts().make_datagram(src, dst);
-  if (!core::enter_at_ingress(network, vnbone, src_access,
-                              topo.router(*target).loopback, result,
-                              [&](NodeId at) { return at == *target; })) {
-    return result;
-  }
-
-  // From the ingress onward the path is identical to the anycast case.
-  core::complete_from_ingress(internet, packet.layers().front().vn, dst, mode,
-                              result);
-  return result;
+  // router must still be deployed to accept the encapsulated packet. From
+  // the ingress onward the path is identical to the anycast case.
+  return core::send_ipvn_to(internet, src, dst, topo.router(*target).loopback,
+                            [&](NodeId at) { return at == *target; }, mode);
 }
 
 }  // namespace evo::redirect

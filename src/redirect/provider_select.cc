@@ -57,27 +57,17 @@ core::EndToEndTrace send_ipvn_via_provider(const core::EvolvableInternet& intern
                                            DomainId provider, HostId src,
                                            HostId dst,
                                            std::optional<vnbone::EgressMode> mode) {
-  core::EndToEndTrace result;
   const auto address = select.provider_address(provider);
   if (!address) {
+    core::EndToEndTrace result;
     result.failure = core::EndToEndTrace::Failure::kNoDeployment;
     return result;
   }
-  const auto& network = internet.network();
-  const auto& topo = network.topology();
-  const net::Packet packet = internet.hosts().make_datagram(src, dst);
+  const auto& topo = internet.topology();
   // Only the chosen provider's routers may terminate its address.
-  if (!core::enter_at_ingress(network, internet.vnbone(),
-                              topo.host(src).access_router, *address, result,
-                              [&](NodeId at) {
-                                return topo.router(at).domain == provider;
-                              })) {
-    return result;
-  }
-
-  core::complete_from_ingress(internet, packet.layers().front().vn, dst, mode,
-                              result);
-  return result;
+  return core::send_ipvn_to(
+      internet, src, dst, *address,
+      [&](NodeId at) { return topo.router(at).domain == provider; }, mode);
 }
 
 }  // namespace evo::redirect

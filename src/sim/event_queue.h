@@ -104,7 +104,7 @@ class EventHandle {
 class EventQueue {
  public:
   /// Health counters, cumulative over the queue's lifetime (clear() keeps
-  /// them). Exported by Simulator::export_queue_metrics as sim.queue.*.
+  /// them). Read through Simulator::queue_stats.
   struct Stats {
     std::size_t live_high_water = 0;        // max simultaneous live events
     std::uint64_t overflow_scheduled = 0;   // events that landed past the horizon

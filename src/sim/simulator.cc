@@ -4,18 +4,6 @@
 
 namespace evo::sim {
 
-void Simulator::export_queue_metrics(MetricRegistry& metrics) const {
-  const EventQueue::Stats& stats = queue_.stats();
-  metrics.increment("sim.queue.live_high_water",
-                    static_cast<std::int64_t>(stats.live_high_water));
-  metrics.increment("sim.queue.overflow_scheduled",
-                    static_cast<std::int64_t>(stats.overflow_scheduled));
-  metrics.increment("sim.queue.overflow_redistributed",
-                    static_cast<std::int64_t>(stats.overflow_redistributed));
-  metrics.increment("sim.queue.rebases",
-                    static_cast<std::int64_t>(stats.rebases));
-}
-
 EventHandle Simulator::schedule_at(TimePoint when, EventFn fn) {
   assert(when >= now_ && "cannot schedule into the past");
   return queue_.schedule(when, std::move(fn));

@@ -16,7 +16,6 @@
 
 #include "obs/recorder.h"
 #include "sim/event_queue.h"
-#include "sim/metrics.h"
 #include "sim/time.h"
 
 namespace evo::sim {
@@ -60,9 +59,6 @@ class Simulator {
   /// The event queue's health counters (live high-water mark, overflow
   /// traffic, horizon rebases).
   const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
-
-  /// Add the queue health counters to `metrics` as sim.queue.* totals.
-  void export_queue_metrics(MetricRegistry& metrics) const;
 
   /// Register a one-shot callback fired the next time the event queue
   /// drains to empty during run()/run_until()/run_events(). Callbacks fire

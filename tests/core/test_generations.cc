@@ -5,6 +5,7 @@
 
 #include "core/evolvable_internet.h"
 #include "core/trace.h"
+#include "ipvn_agreement.h"
 #include "net/topology_gen.h"
 
 namespace evo::core {
@@ -121,6 +122,18 @@ TEST(Generations, UndeployOneLeavesOtherIntact) {
   EXPECT_FALSE(f.internet->generation(f.gen9).deployed_routers().empty());
   const auto v9 = send_ipvn_generation(*f.internet, f.gen9, HostId{0}, HostId{3});
   EXPECT_TRUE(v9.delivered);
+}
+
+TEST(Generations, TransportOnSecondGenerationAgreesWithTrace) {
+  // A transport built on IPv9 enters through IPv9's anycast group and
+  // routes over IPv9's vN-Bone, exactly as send_ipvn_generation does; IPv8
+  // is deployed elsewhere so a generation-0 transport would disagree.
+  Fixture f;
+  f.internet->deploy_domain(DomainId{0});
+  f.internet->generation(f.gen9).deploy_domain(DomainId{1});
+  f.internet->generation(f.gen9).deploy_domain(DomainId{3});  // v9 tunnels
+  f.internet->converge();
+  expect_trace_and_transport_agree(*f.internet, f.gen9);
 }
 
 }  // namespace

@@ -5,10 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string>
-#include <string_view>
-#include <vector>
 
+#include "ipvn_agreement.h"
 #include "net/topology_gen.h"
 
 namespace evo::core {
@@ -18,13 +16,13 @@ using net::DomainId;
 using net::HostId;
 
 struct Fixture {
-  Fixture() {
+  explicit Fixture(Options options = {}) {
     auto topo = net::generate_transit_stub({.transit_domains = 2,
                                             .stubs_per_transit = 2,
                                             .seed = 55});
     sim::Rng rng{55};
     net::attach_hosts(topo, 2, rng);
-    internet = std::make_unique<EvolvableInternet>(std::move(topo));
+    internet = std::make_unique<EvolvableInternet>(std::move(topo), options);
     internet->start();
   }
 
@@ -70,69 +68,6 @@ TEST(IpvnTransport, FailsWithoutDeployment) {
   EXPECT_EQ(transport.datagrams_failed(), 1u);
 }
 
-/// What one delivery path reports for one datagram: the failure (kNone when
-/// delivered), the latency of a delivery, and the router each leg — the
-/// anycast ingress, every tunnel, the egress tail — was delivered at.
-struct SendResult {
-  EndToEndTrace::Failure failure = EndToEndTrace::Failure::kNone;
-  sim::Duration latency;
-  std::vector<net::NodeId> arrivals;
-};
-
-/// Send one datagram per ordered host pair through send_ipvn and through
-/// IpvnTransport; both walk one leg plan and must agree.
-void expect_trace_and_transport_agree(EvolvableInternet& internet) {
-  obs::Recorder recorder;
-  recorder.set_capture_all(true);
-  internet.set_recorder(&recorder);
-  SendResult sent;
-  IpvnTransport transport(internet);
-  for (const auto& h : internet.topology().hosts()) {
-    transport.listen(h.id, [&](HostId, HostId, std::uint64_t, sim::Duration elapsed) {
-      sent.latency = elapsed;
-    });
-  }
-  std::size_t delivered = 0;
-  for (const auto& src : internet.topology().hosts()) {
-    for (const auto& dst : internet.topology().hosts()) {
-      if (src.id == dst.id) continue;
-      SCOPED_TRACE("host " + std::to_string(src.id.value()) + " -> host " +
-                   std::to_string(dst.id.value()));
-      SendResult traced;
-      const auto trace = send_ipvn(internet, src.id, dst.id);
-      traced.failure = trace.failure;
-      for (const auto& segment : trace.segments) {
-        traced.latency += segment.trace.latency;
-        if (segment.trace.delivered()) {
-          traced.arrivals.push_back(segment.trace.delivered_at);
-        }
-      }
-
-      sent = SendResult{};
-      recorder.clear();
-      transport.send(src.id, dst.id, 0,
-                     [&](EndToEndTrace::Failure failure, std::uint64_t) {
-                       sent.failure = failure;
-                     });
-      internet.simulator().run();
-      for (const obs::Event& e : recorder.log()) {
-        if (std::string_view(e.name) == "net.pkt.delivered") {
-          sent.arrivals.push_back(net::NodeId{static_cast<std::uint32_t>(e.a)});
-        }
-      }
-
-      EXPECT_EQ(sent.failure, traced.failure) << to_string(traced.failure);
-      EXPECT_EQ(sent.arrivals, traced.arrivals);
-      if (trace.delivered) {
-        ++delivered;
-        EXPECT_EQ(sent.latency, traced.latency);
-      }
-    }
-  }
-  internet.set_recorder(nullptr);
-  EXPECT_GT(delivered, 0u);
-}
-
 TEST(IpvnTransport, LatencyMatchesTraceTopology) {
   // The event-driven latency must equal the sum of per-link latencies
   // along the synchronous trace's segments, for every host pair.
@@ -156,6 +91,39 @@ TEST(IpvnTransport, AgreesWithTraceAfterInterdomainLinkFailure) {
   f.internet->converge();
   expect_trace_and_transport_agree(*f.internet);
 }
+
+/// The trace/transport agreement under each §3.3.2 egress mode, configured
+/// as the internet's default, with tunnels (two deployed domains).
+class IpvnTransportModes : public ::testing::TestWithParam<vnbone::EgressMode> {};
+
+TEST_P(IpvnTransportModes, AgreesWithTraceForEveryHostPair) {
+  Options options;
+  options.vnbone.egress_mode = GetParam();
+  Fixture f(options);
+  f.internet->deploy_domain(DomainId{0});
+  f.internet->deploy_domain(DomainId{3});
+  f.internet->converge();
+  if (GetParam() == vnbone::EgressMode::kEndhostAdvertised) {
+    // Self-addressed hosts are reachable only once registered.
+    for (const auto& h : f.internet->topology().hosts()) {
+      register_endhost_route(*f.internet, h.id);
+    }
+    ASSERT_GT(f.internet->vnbone().endhost_route_count(), 0u);
+  }
+  expect_trace_and_transport_agree(*f.internet);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EgressModes, IpvnTransportModes,
+    ::testing::Values(vnbone::EgressMode::kExitAtIngress,
+                      vnbone::EgressMode::kOwnPathKnowledge,
+                      vnbone::EgressMode::kProxyAdvertising,
+                      vnbone::EgressMode::kEndhostAdvertised),
+    [](const ::testing::TestParamInfo<vnbone::EgressMode>& info) {
+      std::string name = vnbone::to_string(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(IpvnTransport, ManyDatagramsAllPairs) {
   Fixture f;

@@ -210,18 +210,6 @@ TEST(Network, CompiledFibRecompilesOnlyWhenEpochMoves) {
   EXPECT_EQ(after_third.fib_compiles, after_second.fib_compiles + 1);
 }
 
-TEST(Network, ExportForwardingMetrics) {
-  Network net(single_domain_line(2, 2));
-  wire_line(net);
-  const auto& routers = net.topology().domain(DomainId{0}).routers;
-  net.trace(routers[0], net.topology().router(routers[1]).loopback);
-  sim::MetricRegistry metrics;
-  net.export_forwarding_metrics(metrics);
-  EXPECT_GT(metrics.counter("net.forwarding.traces"), 0);
-  EXPECT_GT(metrics.counter("net.forwarding.lookups"), 0);
-  EXPECT_GT(metrics.counter("net.forwarding.fib_compiles"), 0);
-}
-
 TEST(Network, DescribeIsHumanReadable) {
   Network net(single_domain_line(2));
   wire_line(net);

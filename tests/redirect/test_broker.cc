@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/ipvn_agreement.h"
 #include "core/scenario.h"
 #include "net/topology_gen.h"
 
@@ -132,6 +133,35 @@ TEST(Broker, LookupPrefersDomainLevelCloserRouters) {
   const auto target = broker.lookup(topo.domain(first_stub).routers.back());
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(topo.router(*target).domain, first_stub);
+}
+
+TEST(Broker, PathFromIngressMatchesAnycast) {
+  // Once the broker's pick is the router anycast would reach too, the
+  // broker changes nothing downstream: same vN route, tunnels and tail.
+  Fixture f;
+  const auto& topo = f.internet->topology();
+  f.internet->deploy_router(topo.domain(DomainId{0}).routers.front());
+  f.internet->deploy_router(topo.domain(DomainId{3}).routers.front());
+  f.internet->converge();
+  BrokerService broker(*f.internet);
+  broker.set_all_participating();
+  broker.refresh();
+  std::size_t compared = 0;
+  std::size_t tunnels = 0;
+  for (const auto& src : topo.hosts()) {
+    for (const auto& dst : topo.hosts()) {
+      if (src.id == dst.id) continue;
+      const auto brokered = send_ipvn_via_broker(*f.internet, broker, src.id, dst.id);
+      const auto anycast = core::send_ipvn(*f.internet, src.id, dst.id);
+      if (!brokered.ingress.valid() || brokered.ingress != anycast.ingress) continue;
+      SCOPED_TRACE("host " + std::to_string(src.id.value()) + " -> host " +
+                   std::to_string(dst.id.value()));
+      ++compared;
+      tunnels += core::expect_same_path_from_ingress(brokered, anycast);
+    }
+  }
+  EXPECT_GT(compared, 0u);
+  EXPECT_GT(tunnels, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/ipvn_agreement.h"
 #include "net/topology_gen.h"
 
 namespace evo::redirect {
@@ -100,6 +101,37 @@ TEST(ProviderSelect, ProviderGroupsAreSeparateFromDeploymentGroup) {
   EXPECT_EQ(f.internet->anycast().group_count(), before + 1);
   // The deployment-wide anycast address keeps working unchanged.
   EXPECT_TRUE(core::send_ipvn(*f.internet, HostId{0}, HostId{4}).delivered);
+}
+
+TEST(ProviderSelect, PathFromIngressMatchesAnycast) {
+  // Once the chosen provider's router is the one anycast would reach too,
+  // the choice changes nothing downstream: same vN route, tunnels and tail.
+  Fixture f;
+  ProviderSelect select(*f.internet);
+  select.enable_provider(DomainId{0});
+  select.enable_provider(DomainId{1});
+  f.internet->converge();
+  const auto& topo = f.internet->topology();
+  std::size_t compared = 0;
+  std::size_t tunnels = 0;
+  for (const DomainId provider : {DomainId{0}, DomainId{1}}) {
+    for (const auto& src : topo.hosts()) {
+      for (const auto& dst : topo.hosts()) {
+        if (src.id == dst.id) continue;
+        const auto chosen =
+            send_ipvn_via_provider(*f.internet, select, provider, src.id, dst.id);
+        const auto anycast = core::send_ipvn(*f.internet, src.id, dst.id);
+        if (!chosen.ingress.valid() || chosen.ingress != anycast.ingress) continue;
+        SCOPED_TRACE("provider " + std::to_string(provider.value()) + ", host " +
+                     std::to_string(src.id.value()) + " -> host " +
+                     std::to_string(dst.id.value()));
+        ++compared;
+        tunnels += core::expect_same_path_from_ingress(chosen, anycast);
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
+  EXPECT_GT(tunnels, 0u);
 }
 
 }  // namespace

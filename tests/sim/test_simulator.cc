@@ -126,12 +126,11 @@ TEST(Simulator, ExportsQueueHealthMetrics) {
   sim.schedule_after(Duration::millis(1), [] {});
   sim.schedule_after(Duration::millis(300'000), [] {});
   sim.run();
-  MetricRegistry metrics;
-  sim.export_queue_metrics(metrics);
-  EXPECT_EQ(metrics.counter("sim.queue.live_high_water"), 2);
-  EXPECT_EQ(metrics.counter("sim.queue.overflow_scheduled"), 1);
-  EXPECT_GE(metrics.counter("sim.queue.rebases"), 1);
-  EXPECT_EQ(metrics.counter("sim.queue.overflow_redistributed"), 1);
+  const EventQueue::Stats& stats = sim.queue_stats();
+  EXPECT_EQ(stats.live_high_water, 2u);
+  EXPECT_EQ(stats.overflow_scheduled, 1u);
+  EXPECT_GE(stats.rebases, 1u);
+  EXPECT_EQ(stats.overflow_redistributed, 1u);
 }
 
 TEST(Simulator, RecorderSeesQueueRebases) {
