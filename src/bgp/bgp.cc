@@ -52,6 +52,9 @@ LearnedFrom learned_from(std::optional<Relationship> rel) {
   return LearnedFrom::kPeer;
 }
 
+/// Elements per AS-path storage chunk (a longer path gets its own chunk).
+constexpr std::size_t kPathChunk = 4096;
+
 }  // namespace
 
 BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
@@ -70,14 +73,23 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
   for (const auto& link : topo.links()) {
     link_usable_.push_back(topo.link_usable(link.id));
   }
+  speaker_of_.assign(topo.router_count(), kNoSpeaker);
   for (const auto& router : topo.routers()) {
     if (router.border) {
-      SpeakerState st;
+      speaker_of_[router.id.value()] = static_cast<std::uint32_t>(speakers_.size());
+      SpeakerState& st = speakers_.emplace_back();
+      st.node = router.id;
       st.domain = router.domain;
-      speakers_.emplace(router.id.value(), std::move(st));
       borders_[router.domain.value()].push_back(router.id);
     }
   }
+  const auto add_session = [&](Session session) {
+    auto& st = speaker(session.local);
+    session.speaker = speaker_of_[session.local.value()];
+    session.slot = static_cast<std::uint32_t>(st.sessions.size());
+    st.sessions.push_back(sessions_.size());
+    sessions_.push_back(session);
+  };
   // eBGP sessions over inter-domain links, created in adjacent twin pairs.
   for (const auto& link : topo.links()) {
     if (!link.interdomain) continue;
@@ -85,11 +97,8 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
                                             topo.router(link.b).domain);
     assert(rel_of_b.has_value());
     const std::size_t ab = sessions_.size();
-    sessions_.push_back(Session{link.a, link.b, link.id, *rel_of_b, false, ab + 1});
-    speaker(link.a).sessions.push_back(ab);
-    sessions_.push_back(
-        Session{link.b, link.a, link.id, reverse(*rel_of_b), false, ab});
-    speaker(link.b).sessions.push_back(ab + 1);
+    add_session(Session{link.a, link.b, link.id, *rel_of_b, false, ab + 1});
+    add_session(Session{link.b, link.a, link.id, reverse(*rel_of_b), false, ab});
   }
   // iBGP full mesh among each domain's border routers; i->j is twinned
   // with j->i.
@@ -103,13 +112,85 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
       for (std::size_t j = 0; j < n; ++j) {
         if (i == j) continue;
         assert(sessions_.size() == index(i, j));
-        speaker(borders[i]).sessions.push_back(sessions_.size());
-        sessions_.push_back(Session{borders[i], borders[j], LinkId::invalid(),
-                                    Relationship::kPeer, /*ibgp=*/true,
-                                    index(j, i)});
+        add_session(Session{borders[i], borders[j], LinkId::invalid(),
+                            Relationship::kPeer, /*ibgp=*/true, index(j, i)});
       }
     }
   }
+  // Room for every domain's own prefix; more prefixes grow the arrays.
+  for (auto& st : speakers_) {
+    st.out_words = std::max<std::size_t>(1, (st.sessions.size() + 63) / 64);
+  }
+  grow_prefix_capacity(topo.domain_count());
+}
+
+void BgpSystem::grow_prefix_capacity(std::size_t capacity) {
+  prefix_capacity_ = std::max<std::size_t>(capacity, 1);
+  for (auto& st : speakers_) {
+    st.adj_rib_in.resize(prefix_capacity_);
+    st.loc_rib.resize(prefix_capacity_);
+    st.flags.resize(prefix_capacity_, 0);
+    st.adj_rib_out.resize(prefix_capacity_ * st.out_words, 0);
+  }
+}
+
+std::uint32_t BgpSystem::intern(Prefix prefix) {
+  const auto [it, inserted] =
+      prefix_ids_.try_emplace(prefix, static_cast<std::uint32_t>(prefixes_.size()));
+  if (!inserted) return it->second;
+  const std::uint32_t id = it->second;
+  prefixes_.push_back(prefix);
+  const auto at = std::lower_bound(
+      prefix_order_.begin(), prefix_order_.end(), prefix,
+      [&](std::uint32_t a, Prefix p) { return prefixes_[a] < p; });
+  prefix_order_.insert(at, id);
+  if (id >= prefix_capacity_) grow_prefix_capacity(2 * prefix_capacity_);
+  return id;
+}
+
+std::optional<std::uint32_t> BgpSystem::find_id(Prefix prefix) const {
+  const auto it = prefix_ids_.find(prefix);
+  if (it == prefix_ids_.end()) return std::nullopt;
+  return it->second;
+}
+
+AsPath BgpSystem::prepend(DomainId head, AsPath tail) {
+  const std::uint64_t key = (std::uint64_t{head.value()} << 32) | tail.id();
+  const auto [it, inserted] = path_index_.try_emplace(key, nullptr);
+  if (!inserted) return AsPath(it->second);
+  const std::size_t length = tail.size() + 1;
+  if (path_chunks_.empty() || path_chunk_used_ + length > kPathChunk) {
+    path_chunks_.push_back(std::make_unique<DomainId[]>(std::max(kPathChunk, length)));
+    path_chunk_used_ = 0;
+  }
+  DomainId* asns = path_chunks_.back().get() + path_chunk_used_;
+  path_chunk_used_ += length;
+  asns[0] = head;
+  std::copy(tail.begin(), tail.end(), asns + 1);
+  it->second = &path_records_.emplace_back(
+      AsPath::Record{static_cast<std::uint32_t>(path_records_.size() + 1),
+                     static_cast<std::uint32_t>(length), asns});
+  return AsPath(it->second);
+}
+
+void BgpSystem::put_offer(std::vector<Offer>& offers, std::uint32_t slot,
+                          const Route& route) {
+  const auto it = std::lower_bound(
+      offers.begin(), offers.end(), slot,
+      [](const Offer& offer, std::uint32_t s) { return offer.slot < s; });
+  if (it != offers.end() && it->slot == slot) {
+    it->route = route;
+  } else {
+    offers.insert(it, Offer{slot, route});
+  }
+}
+
+bool BgpSystem::erase_offer(std::vector<Offer>& offers, std::uint32_t slot) {
+  const auto it = std::find_if(offers.begin(), offers.end(),
+                               [&](const Offer& offer) { return offer.slot == slot; });
+  if (it == offers.end()) return false;
+  offers.erase(it);
+  return true;
 }
 
 void BgpSystem::start() {
@@ -120,8 +201,8 @@ void BgpSystem::start() {
   }
   // Flush anything originated before start() (its decide() could not
   // schedule a send yet).
-  for (auto& [node, st] : speakers_) {
-    if (!st.dirty.empty()) schedule_send(NodeId{node});
+  for (auto& st : speakers_) {
+    if (!st.dirty.empty()) schedule_send(st);
   }
 }
 
@@ -132,27 +213,28 @@ void BgpSystem::originate(DomainId domain, Prefix prefix, OriginationPolicy poli
   }
   mark_dirty(domain, prefix);
   for (const NodeId node : borders_[domain.value()]) {
-    speaker(node).originated[prefix] = policy;
-    seed_self_route(node, prefix, policy);
+    auto& st = speaker(node);
+    st.originated[prefix] = policy;
+    seed_self_route(st, prefix, policy);
   }
 }
 
-void BgpSystem::seed_self_route(NodeId node, Prefix prefix,
+void BgpSystem::seed_self_route(SpeakerState& st, Prefix prefix,
                                 const OriginationPolicy& policy) {
-  auto& st = speaker(node);
+  const std::uint32_t id = intern(prefix);
   Route route;
   route.prefix = prefix;
-  route.as_path = {st.domain};
-  route.egress_router = node;
+  route.as_path = prepend(st.domain, AsPath{});
+  route.egress_router = st.node;
   route.local_pref = local_pref_for(LearnedFrom::kSelf);
   route.learned = LearnedFrom::kSelf;
   route.no_export = policy.no_export;
   route.propagation_ttl = policy.propagation_ttl;
   route.anycast = policy.anycast;
-  st.adj_rib_in[{prefix, kSelfSession}] = std::move(route);
-  decide(node, prefix);
-  st.dirty.insert(prefix);
-  schedule_send(node);
+  put_offer(st.adj_rib_in[id], kSelfSlot, route);
+  decide(st, id);
+  st.mark_for_send(id);
+  schedule_send(st);
 }
 
 void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
@@ -161,11 +243,11 @@ void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
                        (std::uint64_t{prefix.address().bits()} << 8) | prefix.length());
   }
   mark_dirty(domain, prefix);
+  const auto id = find_id(prefix);
   for (const NodeId node : borders_[domain.value()]) {
     auto& st = speaker(node);
     st.originated.erase(prefix);
-    st.adj_rib_in.erase({prefix, kSelfSession});
-    decide(node, prefix);
+    if (id && erase_offer(st.adj_rib_in[*id], kSelfSlot)) decide(st, *id);
   }
 }
 
@@ -189,28 +271,27 @@ bool BgpSystem::preferred(const Route& a, const Route& b) {
   return a.egress_router < b.egress_router;
 }
 
-void BgpSystem::decide(NodeId node, Prefix prefix) {
-  auto& st = speaker(node);
+void BgpSystem::decide(SpeakerState& st, std::uint32_t id) {
   const Route* best = nullptr;
-  // Scan Adj-RIB-In for this prefix (keys are ordered, so the range is
-  // contiguous).
-  const auto lo = st.adj_rib_in.lower_bound({prefix, 0});
-  for (auto it = lo; it != st.adj_rib_in.end() && it->first.first == prefix; ++it) {
-    if (best == nullptr || preferred(it->second, *best)) best = &it->second;
+  for (const Offer& offer : st.adj_rib_in[id]) {
+    if (best == nullptr || preferred(offer.route, *best)) best = &offer.route;
   }
-
-  const auto current = st.loc_rib.find(prefix);
-  const bool had = current != st.loc_rib.end();
+  const bool had = st.has_best(id);
   if (best == nullptr) {
     if (!had) return;
-    st.loc_rib.erase(current);
+    st.flags[id] &= static_cast<std::uint8_t>(~kInLocRib);
+    --st.loc_rib_count;
   } else {
-    if (had && current->second == *best) return;  // no effective change
-    st.loc_rib[prefix] = *best;
+    if (had && st.loc_rib[id] == *best) return;  // no effective change
+    st.loc_rib[id] = *best;
+    if (!had) {
+      st.flags[id] |= kInLocRib;
+      ++st.loc_rib_count;
+    }
   }
-  mark_dirty(st.domain, prefix);
-  st.dirty.insert(prefix);
-  schedule_send(node);
+  mark_dirty(st.domain, prefixes_[id]);
+  st.mark_for_send(id);
+  schedule_send(st);
 }
 
 bool BgpSystem::exportable(const SpeakerState& st, const Route& route,
@@ -243,14 +324,15 @@ bool BgpSystem::exportable(const SpeakerState& st, const Route& route,
   return session.relationship == Relationship::kCustomer;
 }
 
-void BgpSystem::schedule_send(NodeId node) {
-  auto& st = speaker(node);
+void BgpSystem::schedule_send(SpeakerState& st) {
   if (st.send_pending || !started_) return;
   st.send_pending = true;
-  simulator_.schedule_after(config_.update_delay, [this, node] {
-    speaker(node).send_pending = false;
-    flush_updates(node);
-  });
+  simulator_.schedule_after(config_.update_delay,
+                            [this, index = speaker_of_[st.node.value()]] {
+                              auto& s = speakers_[index];
+                              s.send_pending = false;
+                              flush_updates(s);
+                            });
 }
 
 bool BgpSystem::session_usable(const Session& session) const {
@@ -262,51 +344,62 @@ bool BgpSystem::session_usable(const Session& session) const {
   return !session.link.valid() || topo.link_usable(session.link);
 }
 
-std::vector<NodeId> BgpSystem::sorted_speakers() const {
-  std::vector<NodeId> out;
-  out.reserve(speakers_.size());
-  for (const auto& [value, st] : speakers_) out.push_back(NodeId{value});
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void BgpSystem::flush_updates(NodeId node) {
-  if (!network_.topology().router(node).up) return;  // crashed: sends nothing
-  auto& st = speaker(node);
-  const auto dirty = std::move(st.dirty);
-  st.dirty.clear();
-  if (recorder_ != nullptr && !dirty.empty()) {
-    recorder_->instant(obs::Domain::kBgp, "bgp.flush", node.value(), dirty.size());
+void BgpSystem::flush_updates(SpeakerState& st) {
+  if (!network_.topology().router(st.node).up) return;  // crashed: sends nothing
+  // Walk the dirty prefixes in prefix order, each over the sessions in
+  // slot order: the message schedule does not depend on prefix ids.
+  auto& dirty = flush_scratch_;
+  dirty.swap(st.dirty);
+  for (const std::uint32_t id : dirty) {
+    st.flags[id] &= static_cast<std::uint8_t>(~kDirty);
   }
-  for (const Prefix prefix : dirty) {
-    const auto best = st.loc_rib.find(prefix);
-    for (const std::size_t si : st.sessions) {
+  if (recorder_ != nullptr && !dirty.empty()) {
+    recorder_->instant(obs::Domain::kBgp, "bgp.flush", st.node.value(), dirty.size());
+  }
+  std::sort(dirty.begin(), dirty.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return prefixes_[a] < prefixes_[b];
+  });
+  auto& usable = usable_scratch_;
+  usable.clear();
+  for (const std::size_t si : st.sessions) {
+    usable.push_back(session_usable(sessions_[si]));
+  }
+  for (const std::uint32_t id : dirty) {
+    const Route* best = st.has_best(id) ? &st.loc_rib[id] : nullptr;
+    std::uint64_t* out = &st.adj_rib_out[id * st.out_words];
+    // Self routes already carry {domain}; learned routes gain our domain
+    // when they leave it over eBGP. Interned once per prefix.
+    std::optional<AsPath> ebgp_path;
+    for (std::uint32_t slot = 0; slot < st.sessions.size(); ++slot) {
+      if (!usable[slot]) continue;
+      const std::size_t si = st.sessions[slot];
       const Session& session = sessions_[si];
-      if (!session_usable(session)) continue;
+      std::uint64_t& word = out[slot / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
       Update update;
-      update.route.prefix = prefix;
-      if (best == st.loc_rib.end() || !exportable(st, best->second, session)) {
+      update.prefix_id = id;
+      update.route.prefix = prefixes_[id];
+      if (best == nullptr || !exportable(st, *best, session)) {
         // Withdraw only where an advertisement actually exists.
-        if (st.adj_rib_out.erase({prefix, si}) == 0) continue;
+        if ((word & bit) == 0) continue;
+        word &= ~bit;
         update.withdraw = true;
       } else {
-        st.adj_rib_out.insert({prefix, si});
-        const Route& route = best->second;
-        auto& path = update.route.as_path;
-        // Self routes already carry {domain}; learned routes gain our
-        // domain when they leave it over eBGP.
-        path.reserve(route.as_path.size() + 1);
-        if (!session.ibgp && route.learned != LearnedFrom::kSelf) {
-          path.push_back(st.domain);
+        word |= bit;
+        if (!session.ibgp && best->learned != LearnedFrom::kSelf) {
+          if (!ebgp_path) ebgp_path = prepend(st.domain, best->as_path);
+          update.route.as_path = *ebgp_path;
+        } else {
+          update.route.as_path = best->as_path;
         }
-        path.insert(path.end(), route.as_path.begin(), route.as_path.end());
-        update.route.no_export = route.no_export;
-        update.route.propagation_ttl = route.propagation_ttl;
-        update.route.anycast = route.anycast;
+        update.route.no_export = best->no_export;
+        update.route.propagation_ttl = best->propagation_ttl;
+        update.route.anycast = best->anycast;
       }
-      send(si, std::move(update));
+      send(si, update);
     }
   }
+  dirty.clear();
 }
 
 void BgpSystem::send(std::size_t session_index, Update update) {
@@ -315,10 +408,10 @@ void BgpSystem::send(std::size_t session_index, Update update) {
                                     ? config_.ibgp_latency
                                     : network_.topology().link(session.link).latency;
   ++messages_sent_;
-  auto deliver = [this, session_index, update = std::move(update)]() mutable {
+  auto deliver = [this, session_index, update]() {
     // Re-check at delivery: the session may have died in flight.
     if (!session_usable(sessions_[session_index])) return;
-    receive(session_index, std::move(update));
+    receive(session_index, update);
   };
   // BGP messages ride the event queue without heap-allocating the closure.
   static_assert(sizeof(deliver) <= sim::EventFn::inline_capacity);
@@ -326,15 +419,13 @@ void BgpSystem::send(std::size_t session_index, Update update) {
 }
 
 void BgpSystem::receive(std::size_t session_index, Update update) {
-  const std::size_t in_session = sessions_[session_index].twin;
-  const Session& session = sessions_[in_session];
-  const NodeId local = session.local;
-  auto& st = speaker(local);
+  const Session& session = sessions_[sessions_[session_index].twin];
+  auto& st = speakers_[session.speaker];
+  auto& offers = st.adj_rib_in[update.prefix_id];
   Route& route = update.route;
-  const Prefix prefix = route.prefix;
 
   if (update.withdraw) {
-    if (st.adj_rib_in.erase({prefix, in_session}) > 0) decide(local, prefix);
+    if (erase_offer(offers, session.slot)) decide(st, update.prefix_id);
     return;
   }
 
@@ -350,40 +441,46 @@ void BgpSystem::receive(std::size_t session_index, Update update) {
     // Loop prevention: reject paths containing our own domain.
     if (route.contains_domain(st.domain)) return;
     route.learned = learned_from(session.relationship);
-    route.egress_router = local;
+    route.egress_router = session.local;
     route.ebgp_next_hop = session.remote;
     route.via_link = session.link;
   }
   route.local_pref = local_pref_for(route.learned);
 
-  st.adj_rib_in[{prefix, in_session}] = std::move(route);
-  decide(local, prefix);
+  put_offer(offers, session.slot, route);
+  decide(st, update.prefix_id);
 }
 
-void BgpSystem::drop_sessions(NodeId node,
+void BgpSystem::drop_sessions(SpeakerState& st,
                               const std::function<bool(const Session&)>& dead) {
-  auto& st = speaker(node);
-  std::set<std::size_t> dead_sessions;
-  for (const std::size_t si : st.sessions) {
-    if (dead(sessions_[si])) dead_sessions.insert(si);
+  std::vector<std::uint64_t> dead_slots(st.out_words, 0);
+  bool any = false;
+  for (std::uint32_t slot = 0; slot < st.sessions.size(); ++slot) {
+    if (!dead(sessions_[st.sessions[slot]])) continue;
+    dead_slots[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    any = true;
   }
-  if (dead_sessions.empty()) return;
-  std::vector<Prefix> affected;
-  std::erase_if(st.adj_rib_in, [&](const auto& entry) {
-    if (!dead_sessions.contains(entry.first.second)) return false;
-    affected.push_back(entry.first.first);
-    return true;
-  });
-  std::erase_if(st.adj_rib_out, [&](const auto& entry) {
-    return dead_sessions.contains(entry.second);
-  });
-  for (const Prefix prefix : affected) decide(node, prefix);
+  if (!any) return;
+  const auto is_dead = [&](const Offer& offer) {
+    return offer.slot != kSelfSlot &&
+           ((dead_slots[offer.slot / 64] >> (offer.slot % 64)) & 1) != 0;
+  };
+  // Forget everything learned and advertised over the dead sessions, then
+  // re-decide what they carried in prefix order.
+  std::vector<std::uint32_t> affected;
+  for (const std::uint32_t id : prefix_order_) {
+    if (std::erase_if(st.adj_rib_in[id], is_dead) > 0) affected.push_back(id);
+    std::uint64_t* out = &st.adj_rib_out[id * st.out_words];
+    for (std::size_t w = 0; w < st.out_words; ++w) out[w] &= ~dead_slots[w];
+  }
+  for (const std::uint32_t id : affected) decide(st, id);
 }
 
-void BgpSystem::readvertise_all(NodeId node) {
-  auto& st = speaker(node);
-  for (const auto& [prefix, route] : st.loc_rib) st.dirty.insert(prefix);
-  schedule_send(node);
+void BgpSystem::readvertise_all(SpeakerState& st) {
+  for (const std::uint32_t id : prefix_order_) {
+    if (st.has_best(id)) st.mark_for_send(id);
+  }
+  schedule_send(st);
 }
 
 void BgpSystem::on_link_change(LinkId link_id) {
@@ -398,11 +495,11 @@ void BgpSystem::on_link_change(LinkId link_id) {
   for (const NodeId end : {link.a, link.b}) {
     if (usable) {
       // Sessions re-establish: both ends re-advertise their full Loc-RIBs.
-      readvertise_all(end);
+      readvertise_all(speaker(end));
     } else {
       // Session down: both ends drop what was learned and advertised over
       // this link's sessions.
-      drop_sessions(end, [&](const Session& s) { return s.link == link_id; });
+      drop_sessions(speaker(end), [&](const Session& s) { return s.link == link_id; });
     }
   }
 }
@@ -418,27 +515,29 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
     if (!up) {
       // The crashed speaker loses all volatile RIB state; `originated`
       // stays (it is configuration, re-seeded on recovery).
-      for (const auto& [prefix, route] : st.loc_rib) mark_dirty(st.domain, prefix);
-      st.adj_rib_in.clear();
-      st.loc_rib.clear();
-      st.adj_rib_out.clear();
+      for (const std::uint32_t id : prefix_order_) {
+        if (st.has_best(id)) mark_dirty(st.domain, prefixes_[id]);
+        st.adj_rib_in[id].clear();
+      }
+      std::fill(st.flags.begin(), st.flags.end(), 0);
+      std::fill(st.adj_rib_out.begin(), st.adj_rib_out.end(), 0);
+      st.loc_rib_count = 0;
       st.dirty.clear();
     } else {
       for (const auto& [prefix, policy] : st.originated) {
-        seed_self_route(node, prefix, policy);
+        seed_self_route(st, prefix, policy);
       }
     }
   }
   // Peers with a session to the node hold it down and withdraw what they
   // learned over it, or re-establish it and re-advertise their Loc-RIBs.
   const auto to_node = [&](const Session& s) { return s.remote == node; };
-  for (const NodeId peer : sorted_speakers()) {
-    if (peer == node) continue;
-    const auto& st = speaker(peer);
+  for (auto& peer : speakers_) {
+    if (peer.node == node) continue;
     if (!up) {
       drop_sessions(peer, to_node);
-    } else if (!st.loc_rib.empty() &&
-               std::any_of(st.sessions.begin(), st.sessions.end(),
+    } else if (peer.loc_rib_count > 0 &&
+               std::any_of(peer.sessions.begin(), peer.sessions.end(),
                            [&](std::size_t si) { return to_node(sessions_[si]); })) {
       readvertise_all(peer);
     }
@@ -446,25 +545,29 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
 }
 
 const Route* BgpSystem::best_route(NodeId node, Prefix prefix) const {
-  if (!is_speaker(node)) return nullptr;
-  const auto& st = speaker(node);
-  const auto it = st.loc_rib.find(prefix);
-  return it == st.loc_rib.end() ? nullptr : &it->second;
+  const std::uint32_t index = speaker_index(node);
+  if (index == kNoSpeaker) return nullptr;
+  const auto id = find_id(prefix);
+  const auto& st = speakers_[index];
+  return id && st.has_best(*id) ? &st.loc_rib[*id] : nullptr;
 }
 
 void BgpSystem::for_each_best_route(
     NodeId node, const std::function<void(const Route&)>& fn) const {
   if (!is_speaker(node)) return;
-  for (const auto& [prefix, route] : speaker(node).loc_rib) fn(route);
+  const auto& st = speaker(node);
+  for (const std::uint32_t id : prefix_order_) {
+    if (st.has_best(id)) fn(st.loc_rib[id]);
+  }
 }
 
 std::size_t BgpSystem::loc_rib_size(NodeId node, bool anycast_only) const {
   if (!is_speaker(node)) return 0;
   const auto& st = speaker(node);
-  if (!anycast_only) return st.loc_rib.size();
+  if (!anycast_only) return st.loc_rib_count;
   std::size_t count = 0;
-  for (const auto& [prefix, route] : st.loc_rib) {
-    if (route.anycast) ++count;
+  for (const std::uint32_t id : prefix_order_) {
+    if (st.has_best(id) && st.loc_rib[id].anycast) ++count;
   }
   return count;
 }
@@ -549,37 +652,19 @@ BgpSystem::InstallPlan BgpSystem::plan_install(
     plan.prefixes.push_back(entry);
   };
 
+  // Each border's best route for prefix `id` (null if none).
+  const auto add_id = [&](std::uint32_t id) {
+    for (std::size_t i = 0; i < n; ++i) {
+      at[i] = states[i]->has_best(id) ? &states[i]->loc_rib[id] : nullptr;
+    }
+    add(prefixes_[id]);
+  };
   if (only != nullptr) {
     for (const Prefix prefix : *only) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto it = states[i]->loc_rib.find(prefix);
-        at[i] = it == states[i]->loc_rib.end() ? nullptr : &it->second;
-      }
-      add(prefix);
+      if (const auto id = find_id(prefix)) add_id(*id);
     }
-    return plan;
-  }
-  // Every routed prefix: merge the border Loc-RIBs, which are in prefix
-  // order, in one pass.
-  using Cursor = std::map<Prefix, Route>::const_iterator;
-  std::vector<Cursor> cursors(n);
-  for (std::size_t i = 0; i < n; ++i) cursors[i] = states[i]->loc_rib.begin();
-  while (true) {
-    const Prefix* next = nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cursors[i] == states[i]->loc_rib.end()) continue;
-      if (next == nullptr || cursors[i]->first < *next) next = &cursors[i]->first;
-    }
-    if (next == nullptr) break;
-    const Prefix prefix = *next;
-    for (std::size_t i = 0; i < n; ++i) {
-      at[i] = nullptr;
-      if (cursors[i] != states[i]->loc_rib.end() && cursors[i]->first == prefix) {
-        at[i] = &cursors[i]->second;
-        ++cursors[i];
-      }
-    }
-    add(prefix);
+  } else {
+    for (const std::uint32_t id : prefix_order_) add_id(id);
   }
   return plan;
 }
@@ -674,26 +759,21 @@ void BgpSystem::install_routes() {
     for (const NodeId r : domain.routers) {
       auto& fib = network_.fib(r);
       routes.clear();
+      // An unchanged table leaves the route epoch (and thus the router's
+      // compiled forwarding state) untouched.
       if (dirt.all || fib.epoch() != installed_epoch_[r.value()]) {
         if (!whole_plan) whole_plan = plan_install(domain.id, nullptr);
         plan_routes(r, *whole_plan, routes);
+        fib.replace_origins({RouteOrigin::kBgp}, routes);
       } else if (!dirty.empty()) {
+        // The FIB holds the installed table: rewrite only the dirty
+        // prefixes' entries.
         if (!dirty_plan) dirty_plan = plan_install(domain.id, &dirty);
-        // The FIB holds the installed table: keep its entries for clean
-        // prefixes and recompute the dirty ones.
-        for (const FibEntry& e : fib.entries()) {
-          if (e.origin == RouteOrigin::kBgp &&
-              !std::binary_search(dirty.begin(), dirty.end(), e.prefix)) {
-            routes.push_back(e);
-          }
-        }
         plan_routes(r, *dirty_plan, routes);
+        fib.splice_origin(RouteOrigin::kBgp, dirty, routes);
       } else {
         continue;
       }
-      // An unchanged table leaves the route epoch (and thus the router's
-      // compiled forwarding state) untouched.
-      fib.replace_origins({RouteOrigin::kBgp}, routes);
       installed_epoch_[r.value()] = fib.epoch();
     }
     dirt.all = false;

@@ -10,11 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -120,46 +120,97 @@ class BgpSystem {
     /// The same session seen from `remote` (where this side's updates
     /// arrive); set once in the constructor.
     std::size_t twin = 0;
+    /// `local`'s index in speakers_, and this session's slot: its position
+    /// in that speaker's `sessions`.
+    std::uint32_t speaker = 0;
+    std::uint32_t slot = 0;
   };
 
-  /// One UPDATE message. The sender fills the route's prefix, AS path and
-  /// carried attributes (no_export, propagation_ttl, anycast); the
-  /// receiver fills the fields that depend on the session it arrived on.
+  /// One UPDATE message for the prefix with id `prefix_id`. The sender
+  /// fills the route's prefix, AS path and carried attributes (no_export,
+  /// propagation_ttl, anycast); the receiver fills the fields that depend
+  /// on the session it arrived on.
   struct Update {
     bool withdraw = false;
+    std::uint32_t prefix_id = 0;
     Route route;
   };
 
-  /// Sentinel "session" index for self-originated Adj-RIB-In entries.
-  static constexpr std::size_t kSelfSession = static_cast<std::size_t>(-1);
+  /// Sentinel slot for self-originated Adj-RIB-In entries; sorts last.
+  static constexpr std::uint32_t kSelfSlot = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kNoSpeaker = static_cast<std::uint32_t>(-1);
 
+  /// One Adj-RIB-In entry: the best known offer over one session slot.
+  /// Keying by session (not neighbor) keeps parallel sessions to the same
+  /// neighbor independent.
+  struct Offer {
+    std::uint32_t slot;
+    Route route;
+  };
+
+  /// Per-prefix flags of a speaker.
+  enum : std::uint8_t {
+    kInLocRib = 1,  // loc_rib[id] holds the best route
+    kDirty = 2,     // id is in `dirty`
+  };
+
+  /// One speaker's RIBs, flat: every per-prefix array is indexed by prefix
+  /// id and sized to prefix_capacity_.
   struct SpeakerState {
+    net::NodeId node;
     net::DomainId domain;
-    std::vector<std::size_t> sessions;  // indices into sessions_
-    /// Adj-RIB-In: best known offer per (prefix, receiving session).
-    /// Keying by session (not neighbor) keeps parallel sessions to the
-    /// same neighbor independent.
-    std::map<std::pair<net::Prefix, std::size_t>, Route> adj_rib_in;
-    /// Loc-RIB: the winning route per prefix.
-    std::map<net::Prefix, Route> loc_rib;
-    /// Adj-RIB-Out: (prefix, session) pairs currently advertised, so
-    /// withdrawals are sent only where an advertisement exists.
-    std::set<std::pair<net::Prefix, std::size_t>> adj_rib_out;
+    std::vector<std::size_t> sessions;  // indices into sessions_, by slot
+    /// Adj-RIB-In: the offers per prefix, in slot order (self last).
+    std::vector<std::vector<Offer>> adj_rib_in;
+    /// Loc-RIB: the winning route per prefix, valid where kInLocRib is set.
+    std::vector<Route> loc_rib;
+    std::vector<std::uint8_t> flags;
+    std::size_t loc_rib_count = 0;
+    /// Adj-RIB-Out: one bit per session slot (out_words words per prefix)
+    /// where an advertisement exists, so withdrawals are sent only there.
+    std::vector<std::uint64_t> adj_rib_out;
+    std::size_t out_words = 1;
     /// Prefixes originated locally (shared per domain but stored per
     /// speaker for uniform processing).
     std::map<net::Prefix, OriginationPolicy> originated;
-    /// Prefixes whose best changed and need (re-)advertisement.
-    std::set<net::Prefix> dirty;
+    /// Ids of the prefixes whose best changed and need (re-)advertisement;
+    /// each also carries kDirty.
+    std::vector<std::uint32_t> dirty;
     bool send_pending = false;
+
+    bool has_best(std::uint32_t id) const { return (flags[id] & kInLocRib) != 0; }
+    void mark_for_send(std::uint32_t id) {
+      if ((flags[id] & kDirty) != 0) return;
+      flags[id] |= kDirty;
+      dirty.push_back(id);
+    }
   };
 
-  bool is_speaker(net::NodeId node) const {
-    return speakers_.contains(node.value());
+  std::uint32_t speaker_index(net::NodeId node) const {
+    return node.value() < speaker_of_.size() ? speaker_of_[node.value()] : kNoSpeaker;
   }
-  SpeakerState& speaker(net::NodeId node) { return speakers_.at(node.value()); }
+  bool is_speaker(net::NodeId node) const { return speaker_index(node) != kNoSpeaker; }
+  SpeakerState& speaker(net::NodeId node) {
+    return speakers_[speaker_of_[node.value()]];
+  }
   const SpeakerState& speaker(net::NodeId node) const {
-    return speakers_.at(node.value());
+    return speakers_[speaker_of_[node.value()]];
   }
+
+  /// Resize every speaker's per-prefix arrays to `capacity` prefixes.
+  void grow_prefix_capacity(std::size_t capacity);
+  /// The dense id of `prefix`, interned on first use.
+  std::uint32_t intern(net::Prefix prefix);
+  /// The id of an interned `prefix`, or nullopt.
+  std::optional<std::uint32_t> find_id(net::Prefix prefix) const;
+  /// `head` followed by `tail`, interned: one hash probe.
+  AsPath prepend(net::DomainId head, AsPath tail);
+
+  /// Set the offer over `slot` (kept in slot order), or erase it; erase
+  /// returns whether there was one.
+  static void put_offer(std::vector<Offer>& offers, std::uint32_t slot,
+                        const Route& route);
+  static bool erase_offer(std::vector<Offer>& offers, std::uint32_t slot);
 
   void send(std::size_t session_index, Update update);
   /// Deliver `update`, sent over `session_index`, at that session's twin.
@@ -169,37 +220,34 @@ class BgpSystem {
   /// `policy`, re-decide, and force a (re-)advertisement pass: a
   /// re-origination may change only export policy, which the decision
   /// process cannot see.
-  void seed_self_route(net::NodeId node, net::Prefix prefix,
+  void seed_self_route(SpeakerState& st, net::Prefix prefix,
                        const OriginationPolicy& policy);
 
-  /// Tear down `node`'s sessions for which `dead` holds: forget what was
+  /// Tear down `st`'s sessions for which `dead` holds: forget what was
   /// learned and advertised over them and re-decide the prefixes they
   /// carried.
-  void drop_sessions(net::NodeId node,
+  void drop_sessions(SpeakerState& st,
                      const std::function<bool(const Session&)>& dead);
 
-  /// Mark `node`'s whole Loc-RIB for re-advertisement (session
+  /// Mark `st`'s whole Loc-RIB for re-advertisement (session
   /// re-establishment) and schedule a send.
-  void readvertise_all(net::NodeId node);
+  void readvertise_all(SpeakerState& st);
 
-  /// Re-run the decision process for `prefix` at `node`; queue updates if
+  /// Re-run the decision process for prefix `id` at `st`; queue updates if
   /// the best route changed.
-  void decide(net::NodeId node, net::Prefix prefix);
+  void decide(SpeakerState& st, std::uint32_t id);
 
   /// True if `route` may be exported over `session` (Gao-Rexford + scope +
   /// no-export + iBGP rules).
   bool exportable(const SpeakerState& st, const Route& route,
                   const Session& session) const;
 
-  void schedule_send(net::NodeId node);
-  void flush_updates(net::NodeId node);
+  void schedule_send(SpeakerState& st);
+  void flush_updates(SpeakerState& st);
 
   /// True when the session can carry updates right now: both speakers up
   /// and (for eBGP) the underlying link usable.
   bool session_usable(const Session& session) const;
-
-  /// Speakers sorted by NodeId, for deterministic fan-out order.
-  std::vector<net::NodeId> sorted_speakers() const;
 
   /// Total ordering on routes: true if `a` is preferred over `b`.
   static bool preferred(const Route& a, const Route& b);
@@ -252,7 +300,24 @@ class BgpSystem {
   std::function<const igp::Igp*(net::DomainId)> igp_of_;
   BgpConfig config_;
   std::vector<Session> sessions_;
-  std::unordered_map<std::uint32_t, SpeakerState> speakers_;  // by NodeId value
+  std::vector<SpeakerState> speakers_;       // in NodeId order
+  std::vector<std::uint32_t> speaker_of_;    // by NodeId value; kNoSpeaker if none
+  /// Interned prefixes: each by id, the ids in prefix order, and the id
+  /// of each prefix.
+  std::vector<net::Prefix> prefixes_;
+  std::vector<std::uint32_t> prefix_order_;
+  std::unordered_map<net::Prefix, std::uint32_t> prefix_ids_;
+  /// Size of every speaker's per-prefix arrays; grows geometrically.
+  std::size_t prefix_capacity_ = 0;
+  /// Interned AS paths: records (stable addresses), their element storage
+  /// in fixed chunks, and the record of each (head, tail id) pair.
+  std::deque<AsPath::Record> path_records_;
+  std::vector<std::unique_ptr<net::DomainId[]>> path_chunks_;
+  std::size_t path_chunk_used_ = 0;
+  std::unordered_map<std::uint64_t, const AsPath::Record*> path_index_;
+  /// Reused by flush_updates: the dirty ids and each slot's usability.
+  std::vector<std::uint32_t> flush_scratch_;
+  std::vector<std::uint8_t> usable_scratch_;
   /// Border routers of each domain, sorted (by DomainId value).
   std::vector<std::vector<net::NodeId>> borders_;
   std::vector<InstallDirt> install_dirt_;  // by DomainId value

@@ -2,10 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "net/address.h"
 #include "net/ids.h"
@@ -36,10 +37,50 @@ constexpr int local_pref_for(LearnedFrom learned) {
   return 0;
 }
 
+/// An AS path, nearest first: an 8-byte handle to an immutable
+/// {length, asns} record interned by the BgpSystem that built it, which
+/// owns the record. A handle is valid while that system lives. Within one
+/// system equal paths share one record, so == compares handles; paths of
+/// two different systems must be compared element by element. A
+/// default-constructed path is empty.
+class AsPath {
+ public:
+  struct Record {
+    std::uint32_t id;  // dense per system; the empty path is 0
+    std::uint32_t length;
+    const net::DomainId* asns;
+  };
+
+  AsPath() = default;
+  explicit AsPath(const Record* record) : record_(record) {}
+
+  std::size_t size() const { return record_->length; }
+  bool empty() const { return record_->length == 0; }
+  net::DomainId front() const { return record_->asns[0]; }
+  net::DomainId back() const { return record_->asns[record_->length - 1]; }
+  net::DomainId operator[](std::size_t i) const { return record_->asns[i]; }
+  const net::DomainId* begin() const { return record_->asns; }
+  const net::DomainId* end() const { return record_->asns + record_->length; }
+  std::reverse_iterator<const net::DomainId*> rbegin() const {
+    return std::reverse_iterator(end());
+  }
+  std::reverse_iterator<const net::DomainId*> rend() const {
+    return std::reverse_iterator(begin());
+  }
+  /// The record's id in its system's intern table.
+  std::uint32_t id() const { return record_->id; }
+
+  friend bool operator==(AsPath a, AsPath b) { return a.record_ == b.record_; }
+
+ private:
+  static constexpr Record kEmpty{0, 0, nullptr};
+  const Record* record_ = &kEmpty;
+};
+
 struct Route {
   net::Prefix prefix;
   /// AS path, nearest first; back() is the origin domain.
-  std::vector<net::DomainId> as_path;
+  AsPath as_path;
   /// The local border router holding the eBGP session this route entered
   /// through (== the egress for hot-potato forwarding).
   net::NodeId egress_router;
@@ -78,6 +119,9 @@ struct Route {
 
   std::string describe() const;
 };
+
+// UPDATEs, decisions and Loc-RIB writes copy routes without allocating.
+static_assert(std::is_trivially_copyable_v<Route>);
 
 /// How a locally originated prefix is exported.
 struct OriginationPolicy {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace evo::igp {
 
@@ -27,6 +28,14 @@ NodeId first_hop(const net::ShortestPaths& spf, NodeId to) {
     hop = up;
   }
   return hop;
+}
+
+/// Position of `node` in the sorted `nodes`, if there.
+std::optional<std::uint32_t> local_index(const std::vector<NodeId>& nodes,
+                                         NodeId node) {
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
+  if (it == nodes.end() || *it != node) return std::nullopt;
+  return static_cast<std::uint32_t>(it - nodes.begin());
 }
 
 }  // namespace
@@ -91,16 +100,16 @@ std::vector<NodeId> LinkStateIgp::discovered_members(NodeId viewpoint,
 
 Cost LinkStateIgp::distance(NodeId from, NodeId to) const {
   const auto& st = state(from);
-  if (!st.spf_valid || to.value() >= st.spf.distance.size()) return net::kInfiniteCost;
-  return st.spf.distance_to(to);
+  const auto i = local_index(st.spf_nodes, to);
+  if (!st.spf_valid || !i) return net::kInfiniteCost;
+  return st.spf.distance[*i];
 }
 
 NodeId LinkStateIgp::next_hop(NodeId from, NodeId to) const {
   const auto& st = state(from);
-  if (!st.spf_valid || to.value() >= st.spf.distance.size() || !st.spf.reachable(to)) {
-    return NodeId::invalid();
-  }
-  return first_hop(st.spf, to);
+  const auto i = local_index(st.spf_nodes, to);
+  if (!st.spf_valid || !i || !st.spf.reachable(NodeId{*i})) return NodeId::invalid();
+  return st.spf_nodes[first_hop(st.spf, NodeId{*i}).value()];
 }
 
 void LinkStateIgp::on_link_change(LinkId link) {
@@ -191,10 +200,14 @@ void LinkStateIgp::schedule_spf(NodeId router) {
   simulator_.schedule_after(config_.spf_delay, [this, router] { run_spf(router); });
 }
 
-net::Graph LinkStateIgp::lsdb_graph(const RouterState& st) const {
-  net::Graph graph(network_.topology().router_count());
+net::Graph LinkStateIgp::lsdb_graph(const RouterState& st,
+                                    std::vector<NodeId>& nodes) const {
+  nodes.clear();
+  for (const auto& [origin, lsa] : st.lsdb) nodes.push_back(origin);
+  net::Graph graph(nodes.size());
   // A directed edge is used only when both endpoints report it (two-way
   // connectivity check), matching OSPF behavior on half-broken links.
+  std::uint32_t from = 0;
   for (const auto& [origin, lsa] : st.lsdb) {
     for (const auto& adj : lsa.adjacencies) {
       const auto other = st.lsdb.find(adj.neighbor);
@@ -203,8 +216,12 @@ net::Graph LinkStateIgp::lsdb_graph(const RouterState& st) const {
           std::any_of(other->second.adjacencies.begin(),
                       other->second.adjacencies.end(),
                       [&](const LsaAdjacency& back) { return back.neighbor == origin; });
-      if (reciprocal) graph.add_edge(origin, adj.neighbor, adj.cost, adj.link);
+      if (reciprocal) {
+        graph.add_edge(NodeId{from}, NodeId{*local_index(nodes, adj.neighbor)},
+                       adj.cost, adj.link);
+      }
     }
+    ++from;
   }
   return graph;
 }
@@ -218,8 +235,13 @@ void LinkStateIgp::run_spf(NodeId router) {
                        router.value());
   }
 
-  const net::Graph graph = lsdb_graph(st);
-  st.spf = net::dijkstra(graph, router);
+  // Every SPF run follows an LSDB write at this router, its own LSA
+  // included, so the router is in its graph.
+  const net::Graph graph = lsdb_graph(st, st.spf_nodes);
+  const auto self_index = local_index(st.spf_nodes, router);
+  assert(self_index.has_value());
+  const NodeId self{*self_index};
+  st.spf = net::dijkstra(graph, self);
   st.spf_valid = true;
 
   // Accumulate the full IGP+anycast table, then swap it in with one
@@ -228,21 +250,23 @@ void LinkStateIgp::run_spf(NodeId router) {
   // changed something.
   std::vector<FibEntry> routes;
   const auto& topo = network_.topology();
-  // The LSDB link to a first hop (the first adjacency reported for it).
-  const auto link_to = [&](NodeId hop) {
-    for (const net::Graph::Edge& e : graph.neighbors(router)) {
-      if (e.to == hop) return e.link;
+  // The first hop toward LSDB router i, and the LSDB link to it (the first
+  // adjacency reported for it).
+  const auto hop_to = [&](std::uint32_t i) {
+    const NodeId hop = first_hop(st.spf, NodeId{i});
+    for (const net::Graph::Edge& e : graph.neighbors(self)) {
+      if (e.to == hop) return std::make_pair(st.spf_nodes[hop.value()], e.link);
     }
-    return LinkId::invalid();
+    return std::make_pair(st.spf_nodes[hop.value()], LinkId::invalid());
   };
 
   // Unicast routes to every other router in the LSDB.
-  for (const auto& [origin, lsa] : st.lsdb) {
-    if (origin == router || !st.spf.reachable(origin)) continue;
-    const NodeId hop = first_hop(st.spf, origin);
-    const LinkId out = link_to(hop);
+  for (std::uint32_t i = 0; i < st.spf_nodes.size(); ++i) {
+    const NodeId origin = st.spf_nodes[i];
+    if (origin == router || !st.spf.reachable(NodeId{i})) continue;
+    const auto [hop, out] = hop_to(i);
     const auto& r = topo.router(origin);
-    const Cost metric = st.spf.distance_to(origin);
+    const Cost metric = st.spf.distance[i];
     routes.push_back(
         FibEntry{Prefix::host(r.loopback), hop, out, RouteOrigin::kIgp, metric});
     routes.push_back(FibEntry{net::Topology::router_subnet(r.domain, r.index_in_domain),
@@ -252,23 +276,25 @@ void LinkStateIgp::run_spf(NodeId router) {
   // Anycast routes: pick the closest member (deterministic tiebreak on
   // NodeId). The member's high-cost stub link contributes equally for all
   // members, so it is added for fidelity but cannot change the winner.
-  std::map<Ipv4Addr, std::pair<Cost, NodeId>> best;
+  // Members are LSDB indices, whose order is NodeId order.
+  std::map<Ipv4Addr, std::pair<Cost, std::uint32_t>> best;
+  std::uint32_t i = 0;
   for (const auto& [origin, lsa] : st.lsdb) {
-    if (!st.spf.reachable(origin)) continue;
+    const std::uint32_t member = i++;
+    if (!st.spf.reachable(NodeId{member})) continue;
     for (const Ipv4Addr addr : lsa.anycast_addresses) {
-      const Cost total = st.spf.distance_to(origin) + config_.anycast_stub_cost;
-      auto [it, inserted] = best.emplace(addr, std::make_pair(total, origin));
+      const Cost total = st.spf.distance[member] + config_.anycast_stub_cost;
+      auto [it, inserted] = best.emplace(addr, std::make_pair(total, member));
       if (!inserted && (total < it->second.first ||
-                        (total == it->second.first && origin < it->second.second))) {
-        it->second = {total, origin};
+                        (total == it->second.first && member < it->second.second))) {
+        it->second = {total, member};
       }
     }
   }
   for (const auto& [addr, winner] : best) {
     const auto& [metric, member] = winner;
-    if (member == router) continue;  // delivered locally; no route needed
-    const NodeId hop = first_hop(st.spf, member);
-    const LinkId out = link_to(hop);
+    if (st.spf_nodes[member] == router) continue;  // delivered locally; no route needed
+    const auto [hop, out] = hop_to(member);
     routes.push_back(
         FibEntry{Prefix::host(addr), hop, out, RouteOrigin::kAnycast, metric});
   }

@@ -69,8 +69,10 @@ class LinkStateIgp final : public Igp {
     std::set<net::Ipv4Addr> memberships;  // anycast addresses terminated here
     std::uint64_t own_sequence = 0;
     bool spf_pending = false;
-    // Converged SPF snapshot for distance()/next_hop() queries.
+    // Converged SPF snapshot for distance()/next_hop() queries, over the
+    // LSDB's routers as of that run: node i of `spf` is spf_nodes[i].
     net::ShortestPaths spf;
+    std::vector<net::NodeId> spf_nodes;  // sorted
     bool spf_valid = false;
   };
 
@@ -95,8 +97,10 @@ class LinkStateIgp final : public Igp {
   void schedule_spf(net::NodeId router);
   void run_spf(net::NodeId router);
 
-  /// Graph as seen in `router`'s LSDB.
-  net::Graph lsdb_graph(const RouterState& st) const;
+  /// Graph as seen in `st`'s LSDB, over its routers only: node i is
+  /// `nodes[i]`, the LSDB's routers in NodeId order (so ties break as they
+  /// would over NodeIds).
+  net::Graph lsdb_graph(const RouterState& st, std::vector<net::NodeId>& nodes) const;
 
   sim::Simulator& simulator_;
   net::Network& network_;

@@ -1,6 +1,7 @@
 #include "net/fib.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace evo::net {
 
@@ -93,6 +94,42 @@ void Fib::replace_origins(std::initializer_list<RouteOrigin> origins,
   merged.insert(merged.end(), next, desired.end());
   entries_ = std::move(merged);
   ++epoch_;
+}
+
+void Fib::splice_origin(RouteOrigin origin, std::span<const Prefix> prefixes,
+                        std::span<const FibEntry> entries) {
+  bool changed = false;
+  std::size_t at = 0;  // an index: inserts and erases move the entries
+  auto next = entries.begin();
+  for (const Prefix& prefix : prefixes) {
+    at = static_cast<std::size_t>(
+        std::lower_bound(entries_.begin() + static_cast<std::ptrdiff_t>(at),
+                         entries_.end(), prefix, prefix_below) -
+        entries_.begin());
+    const auto here = entries_.begin() + static_cast<std::ptrdiff_t>(at);
+    const bool held = here != entries_.end() && here->prefix == prefix;
+    const bool wanted = next != entries.end() && next->prefix == prefix;
+    assert(!wanted || next->origin == origin);
+    if (held && here->origin != origin) {
+      assert(!wanted);
+      continue;
+    }
+    if (wanted) {
+      if (!held) {
+        entries_.insert(here, *next);
+        changed = true;
+      } else if (!(*here == *next)) {
+        *here = *next;
+        changed = true;
+      }
+      ++next;
+    } else if (held) {
+      entries_.erase(here);
+      changed = true;
+    }
+  }
+  assert(next == entries.end());
+  if (changed) ++epoch_;
 }
 
 const FibEntry* Fib::lookup(Ipv4Addr addr) const {

@@ -66,6 +66,16 @@ class Fib {
   void replace_origins(std::initializer_list<RouteOrigin> origins,
                        std::span<const FibEntry> entries);
 
+  /// Make the `origin` entries for the sorted, unique `prefixes` exactly
+  /// `entries` (sorted and unique by prefix, each for one of `prefixes`
+  /// and carrying `origin`); every other entry stays as it is. A prefix
+  /// that another origin holds keeps that entry, and `entries` must not
+  /// name it. Only those prefixes' entries are rewritten, inserted or
+  /// erased, in place. The route epoch is bumped only when the table
+  /// actually changes.
+  void splice_origin(RouteOrigin origin, std::span<const Prefix> prefixes,
+                     std::span<const FibEntry> entries);
+
   /// Reference longest-prefix match (a linear scan); nullptr when no route
   /// covers `addr`. The kFibEquivalence oracle checks CompiledFib against it.
   const FibEntry* lookup(Ipv4Addr addr) const;

@@ -438,7 +438,9 @@ Cost VnBone::legacy_path_length(DomainId domain, DomainId target) const {
 std::vector<DomainId> VnBone::legacy_path(DomainId domain, DomainId target) const {
   const LegacyReach reach = scan_legacy(domain, target);
   if (!reach.border.valid()) return {};
-  return bgp_->best_route(reach.border, net::Topology::domain_prefix(target))->as_path;
+  const auto& path =
+      bgp_->best_route(reach.border, net::Topology::domain_prefix(target))->as_path;
+  return {path.begin(), path.end()};
 }
 
 const net::ShortestPaths& VnBone::tree_from(NodeId ingress) const {

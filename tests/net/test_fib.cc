@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -241,6 +243,98 @@ TEST(Fib, ReplaceOriginsOverwritesOtherOriginsLikeInsert) {
   ASSERT_NE(overwritten, nullptr);
   EXPECT_EQ(overwritten->origin, RouteOrigin::kIgp);
   EXPECT_EQ(overwritten->next_hop, NodeId{6});
+}
+
+TEST(Fib, SpliceOriginRewritesOnlyTheNamedPrefixes) {
+  Fib fib;
+  fib.insert(entry("10.1.0.0/16", 1, RouteOrigin::kBgp));
+  fib.insert(entry("10.2.0.0/16", 2, RouteOrigin::kBgp));
+  fib.insert(entry("10.3.0.0/16", 3, RouteOrigin::kBgp));
+  fib.insert(entry("10.4.0.0/16", 4, RouteOrigin::kIgp));
+  const std::vector<Prefix> dirty = {*Prefix::parse("10.2.0.0/16"),
+                                     *Prefix::parse("10.3.0.0/16"),
+                                     *Prefix::parse("10.4.0.0/16"),
+                                     *Prefix::parse("10.5.0.0/16")};
+
+  // The same entries again: nothing changes, the epoch stays.
+  auto before = fib.epoch();
+  fib.splice_origin(RouteOrigin::kBgp, dirty,
+                    std::vector<FibEntry>{entry("10.2.0.0/16", 2, RouteOrigin::kBgp),
+                                          entry("10.3.0.0/16", 3, RouteOrigin::kBgp)});
+  EXPECT_EQ(fib.epoch(), before);
+
+  // 10.2 is rewritten, 10.3 withdrawn, 10.5 added; 10.1 is not named and
+  // 10.4 belongs to the IGP, so both stay.
+  fib.splice_origin(RouteOrigin::kBgp, dirty,
+                    std::vector<FibEntry>{entry("10.2.0.0/16", 7, RouteOrigin::kBgp),
+                                          entry("10.5.0.0/16", 8, RouteOrigin::kBgp)});
+  EXPECT_GT(fib.epoch(), before);
+  EXPECT_EQ(fib.entries(),
+            (std::vector<FibEntry>{entry("10.1.0.0/16", 1, RouteOrigin::kBgp),
+                                   entry("10.2.0.0/16", 7, RouteOrigin::kBgp),
+                                   entry("10.4.0.0/16", 4, RouteOrigin::kIgp),
+                                   entry("10.5.0.0/16", 8, RouteOrigin::kBgp)}));
+
+  // An in-place rewrite alone also moves the epoch.
+  before = fib.epoch();
+  fib.splice_origin(RouteOrigin::kBgp,
+                    std::vector<Prefix>{*Prefix::parse("10.1.0.0/16")},
+                    std::vector<FibEntry>{entry("10.1.0.0/16", 9, RouteOrigin::kBgp)});
+  EXPECT_GT(fib.epoch(), before);
+  EXPECT_EQ(fib.find(*Prefix::parse("10.1.0.0/16"))->next_hop, NodeId{9});
+}
+
+TEST(Fib, SpliceOriginMatchesReplaceOrigins) {
+  // Random tables of BGP and IGP entries over 16 prefixes: splicing new
+  // entries for a random dirty set gives the table (and the epoch
+  // movement) that replace_origins gives for the clean BGP entries plus
+  // the new ones.
+  std::mt19937 rng(7);
+  std::vector<Prefix> universe;
+  for (std::uint8_t i = 0; i < 16; ++i) {
+    universe.push_back(
+        Prefix{Ipv4Addr{10, i, 0, 0}, static_cast<std::uint8_t>(16 + i % 3)});
+  }
+  std::sort(universe.begin(), universe.end());
+  for (int round = 0; round < 300; ++round) {
+    Fib spliced;
+    for (const Prefix& p : universe) {
+      const auto roll = rng() % 4;
+      if (roll == 0) continue;
+      FibEntry e = entry("0.0.0.0/0", static_cast<std::uint32_t>(rng() % 3),
+                         roll == 1 ? RouteOrigin::kIgp : RouteOrigin::kBgp);
+      e.prefix = p;
+      spliced.insert(e);
+    }
+    Fib replaced = spliced;
+    std::vector<Prefix> dirty;
+    std::vector<FibEntry> fresh;
+    for (const Prefix& p : universe) {
+      if (rng() % 2 == 0) continue;
+      dirty.push_back(p);
+      const FibEntry* held = spliced.find(p);
+      if ((held == nullptr || held->origin == RouteOrigin::kBgp) && rng() % 3 != 0) {
+        FibEntry e = entry("0.0.0.0/0", static_cast<std::uint32_t>(rng() % 3),
+                           RouteOrigin::kBgp);
+        e.prefix = p;
+        fresh.push_back(e);
+      }
+    }
+    std::vector<FibEntry> routes;
+    for (const FibEntry& e : replaced.entries()) {
+      if (e.origin == RouteOrigin::kBgp &&
+          !std::binary_search(dirty.begin(), dirty.end(), e.prefix)) {
+        routes.push_back(e);
+      }
+    }
+    routes.insert(routes.end(), fresh.begin(), fresh.end());
+    const auto before = spliced.epoch();
+    spliced.splice_origin(RouteOrigin::kBgp, dirty, fresh);
+    replaced.replace_origins({RouteOrigin::kBgp}, routes);
+    ASSERT_EQ(spliced.entries(), replaced.entries()) << "round " << round;
+    EXPECT_EQ(spliced.epoch() != before, replaced.epoch() != before)
+        << "round " << round;
+  }
 }
 
 TEST(Fib, ForEachYieldsAddressThenLengthOrder) {
