@@ -6,8 +6,12 @@
 // plane consults on every forwarding step. Compilation projects the prefix
 // set onto disjoint address ranges (prefixes form a laminar family, so a
 // single interval sweep suffices), then lays a direct-indexed block table
-// on top so a lookup is one table load plus a short bounded binary search
-// over one or two cache lines.
+// over the span the prefixes occupy: from the start of the first range
+// after range 0 to the start of the last range, at about one slot per
+// range. An address outside the span needs no index: below it lies
+// range 0, above it the last range. A lookup is one table load plus a short
+// bounded binary search, and the index grows with the prefix set, not
+// with the address space.
 //
 // Staleness is detected through Fib's route epoch: compile() records the
 // source epoch, and Network recompiles a router's CompiledFib lazily when
@@ -33,18 +37,26 @@ class CompiledFib {
   const FibEntry* lookup(Ipv4Addr addr) const {
     if (ranges_.empty()) return nullptr;
     const std::uint32_t bits = addr.bits();
-    const std::uint32_t block = bits >> shift_;
-    // The winner is the last range starting at or before `addr`, bracketed
-    // by the block index: index_[b] already points at the last range that
-    // starts at or before the block's first address.
-    // Branchless bounded search (the comparison becomes a conditional move,
-    // so random probes cost no mispredicts): invariant base[0].start <= bits.
-    const Range* base = ranges_.data() + index_[block];
-    std::size_t n = index_[block + 1] - index_[block] + 1;
-    while (n > 1) {
-      const std::size_t half = n / 2;
-      base += (base[half].start <= bits) ? half : 0;
-      n -= half;
+    const std::uint32_t offset = bits - span_start_;  // wraps below the span
+    const Range* base;
+    if (offset > span_) {
+      // Outside the span: below it lies range 0, above it the last range.
+      base = bits < span_start_ ? &ranges_.front() : &ranges_.back();
+    } else {
+      // The winner is the last range starting at or before `addr`,
+      // bracketed by the block index: index_[b] already points at the last
+      // range that starts at or before the block's first address.
+      const std::uint32_t block = offset >> shift_;
+      base = ranges_.data() + index_[block];
+      // Branchless bounded search (the comparison becomes a conditional
+      // move, so random probes cost no mispredicts): invariant
+      // base[0].start <= bits.
+      std::size_t n = index_[block + 1] - index_[block] + 1;
+      while (n > 1) {
+        const std::size_t half = n / 2;
+        base += (base[half].start <= bits) ? half : 0;
+        n -= half;
+      }
     }
     const std::int32_t winner = base->winner;
     return winner < 0 ? nullptr : &entries_[static_cast<std::size_t>(winner)];
@@ -56,6 +68,12 @@ class CompiledFib {
   std::size_t entry_count() const { return entries_.size(); }
   /// Number of disjoint address ranges the prefix set projected onto.
   std::size_t range_count() const { return ranges_.size(); }
+  /// Index geometry: slot b covers addresses from
+  /// span_start() + (b << block_shift()); index_slots() is at most
+  /// range_count() + 1.
+  std::size_t index_slots() const { return index_.size(); }
+  std::uint32_t span_start() const { return span_start_; }
+  unsigned block_shift() const { return shift_; }
   /// Bytes of flat storage currently held (entries + ranges + index).
   std::size_t memory_bytes() const;
 
@@ -67,10 +85,13 @@ class CompiledFib {
 
   std::vector<FibEntry> entries_;  // table snapshot, prefix order
   std::vector<Range> ranges_;      // disjoint, sorted by start; [0] starts at 0
-  // index_[b] = index of the last range starting at or before (b << shift_);
-  // one extra slot so lookup can read index_[block + 1] unconditionally.
+  // index_[b] = index of the last range starting at or before
+  // span_start_ + (b << shift_), for b <= span_ >> shift_; one extra slot
+  // (the last range) so lookup can read index_[block + 1] unconditionally.
   std::vector<std::uint32_t> index_;
-  unsigned shift_ = 32;
+  std::uint32_t span_start_ = 0;  // start of ranges_[1] (ranges_[0] if alone)
+  std::uint32_t span_ = 0;        // last range start - span_start_
+  unsigned shift_ = 0;
   std::uint64_t epoch_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "net/fib.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace evo::net {
@@ -21,6 +22,7 @@ namespace {
 bool prefix_below(const FibEntry& e, const Prefix& p) { return e.prefix < p; }
 bool prefix_less(const FibEntry& a, const FibEntry& b) { return a.prefix < b.prefix; }
 bool same_prefix(const FibEntry& a, const FibEntry& b) { return a.prefix == b.prefix; }
+std::uint64_t length_bit(const Prefix& p) { return std::uint64_t{1} << p.length(); }
 
 }  // namespace
 
@@ -33,6 +35,7 @@ void Fib::insert(const FibEntry& entry) {
   } else {
     entries_.insert(it, entry);
   }
+  lengths_ |= length_bit(entry.prefix);
   ++epoch_;
 }
 
@@ -48,7 +51,10 @@ bool Fib::remove(const Prefix& prefix) {
 std::size_t Fib::remove_origin(RouteOrigin origin) {
   const std::size_t removed =
       std::erase_if(entries_, [&](const FibEntry& e) { return e.origin == origin; });
-  if (removed > 0) ++epoch_;
+  if (removed > 0) {
+    recount_lengths();
+    ++epoch_;
+  }
   return removed;
 }
 
@@ -93,6 +99,7 @@ void Fib::replace_origins(std::initializer_list<RouteOrigin> origins,
   }
   merged.insert(merged.end(), next, desired.end());
   entries_ = std::move(merged);
+  recount_lengths();
   ++epoch_;
 }
 
@@ -117,6 +124,7 @@ void Fib::splice_origin(RouteOrigin origin, std::span<const Prefix> prefixes,
     if (wanted) {
       if (!held) {
         entries_.insert(here, *next);
+        lengths_ |= length_bit(prefix);
         changed = true;
       } else if (!(*here == *next)) {
         *here = *next;
@@ -133,16 +141,13 @@ void Fib::splice_origin(RouteOrigin origin, std::span<const Prefix> prefixes,
 }
 
 const FibEntry* Fib::lookup(Ipv4Addr addr) const {
-  // Linear scan; entries past `addr` start above it and cannot cover it.
-  const FibEntry* best = nullptr;
-  for (const FibEntry& e : entries_) {
-    if (e.prefix.address() > addr) break;
-    if (e.prefix.contains(addr) &&
-        (best == nullptr || e.prefix.length() > best->prefix.length())) {
-      best = &e;
-    }
+  // Prefixes are unique, so the longest present length that matches wins.
+  for (std::uint64_t left = lengths_; left != 0;) {
+    const auto length = static_cast<std::uint8_t>(std::bit_width(left) - 1);
+    left &= ~(std::uint64_t{1} << length);
+    if (const FibEntry* hit = find(Prefix{addr, length})) return hit;
   }
-  return best;
+  return nullptr;
 }
 
 const FibEntry* Fib::find(const Prefix& prefix) const {
@@ -164,6 +169,12 @@ std::size_t Fib::size_with_origin(RouteOrigin origin) const {
 void Fib::clear() {
   if (!entries_.empty()) ++epoch_;
   entries_.clear();
+  lengths_ = 0;
+}
+
+void Fib::recount_lengths() {
+  lengths_ = 0;
+  for (const FibEntry& e : entries_) lengths_ |= length_bit(e.prefix);
 }
 
 std::string Fib::dump() const {

@@ -76,8 +76,9 @@ class Fib {
   void splice_origin(RouteOrigin origin, std::span<const Prefix> prefixes,
                      std::span<const FibEntry> entries);
 
-  /// Reference longest-prefix match (a linear scan); nullptr when no route
-  /// covers `addr`. The kFibEquivalence oracle checks CompiledFib against it.
+  /// Reference longest-prefix match: one exact find per prefix length
+  /// present, longest first; nullptr when no route covers `addr`. The
+  /// kFibEquivalence oracle checks CompiledFib against it.
   const FibEntry* lookup(Ipv4Addr addr) const;
 
   /// Exact-prefix fetch (no LPM); nullptr if absent.
@@ -105,7 +106,13 @@ class Fib {
   std::string dump() const;
 
  private:
+  void recount_lengths();
+
   std::vector<FibEntry> entries_;  // sorted by prefix, unique prefixes
+  // Bit L set when some entry may have prefix length L. Writes that add
+  // entries set bits; bulk writes recompute it. A stale bit (left by
+  // remove() or splice_origin) only costs lookup() one missed probe.
+  std::uint64_t lengths_ = 0;
   std::uint64_t epoch_ = 1;
 };
 

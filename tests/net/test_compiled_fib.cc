@@ -166,6 +166,104 @@ TEST_P(CompiledFibDifferential, RandomizedChurnMatchesTrie) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledFibDifferential,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+/// Seed bits pick the outliers: bit 0 adds 0.0.0.0/32, bit 1 adds
+/// 255.255.255.255/32 (which widens the index span to the whole space) and
+/// bit 2 adds a default route.
+class CompiledFibSpan : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CompiledFibSpan, ClusteredPrefixesMatchFibAtEveryEdge) {
+  const std::uint64_t seed = GetParam();
+  sim::Rng rng{seed * 7919 + 17};
+  Fib fib;
+  std::vector<std::uint32_t> clusters;  // a few /16s holding every prefix
+  const int cluster_count = static_cast<int>(rng.uniform_int(1, 4));
+  for (int c = 0; c < cluster_count; ++c) {
+    clusters.push_back(static_cast<std::uint32_t>(rng.uniform_int(1, 0xFFFE)) << 16);
+  }
+  const int prefix_count = static_cast<int>(rng.uniform_int(1, 150));
+  for (int i = 0; i < prefix_count; ++i) {
+    FibEntry e;
+    const auto low = static_cast<std::uint32_t>(rng.next_u64() & 0xFFFF);
+    e.prefix = Prefix{Ipv4Addr{rng.pick(clusters) | low},
+                      static_cast<std::uint8_t>(rng.uniform_int(16, 32))};
+    e.next_hop = NodeId{static_cast<std::uint32_t>(i)};
+    fib.insert(e);
+  }
+  if ((seed & 1) != 0) fib.insert(entry("0.0.0.0/32", 90001));
+  if ((seed & 2) != 0) fib.insert(entry("255.255.255.255/32", 90002));
+  if ((seed & 4) != 0) fib.insert(entry("0.0.0.0/0", 90003));
+  CompiledFib compiled;
+  compiled.compile(fib);
+  ASSERT_LE(compiled.index_slots(), compiled.range_count() + 1);
+
+  const auto check = [&](std::uint64_t bits) {
+    if (bits > 0xFFFFFFFFull) return;
+    const Ipv4Addr addr{static_cast<std::uint32_t>(bits)};
+    const FibEntry* from_fib = fib.lookup(addr);
+    const FibEntry* from_flat = compiled.lookup(addr);
+    ASSERT_EQ(from_fib != nullptr, from_flat != nullptr) << addr.to_string();
+    if (from_fib != nullptr) {
+      EXPECT_EQ(*from_fib, *from_flat) << addr.to_string();
+    }
+  };
+  // Below the span, its first address, and the top of the address space.
+  const std::uint64_t span_start = compiled.span_start();
+  const std::uint64_t top = 0xFFFFFFFF;
+  for (const std::uint64_t bits :
+       {std::uint64_t{0}, std::uint64_t{1}, span_start - 1, span_start, span_start + 1,
+        top - 1, top}) {
+    check(bits);
+  }
+  // Every block boundary, one address either side of it, and one address
+  // inside the block; the last two boundaries lie above the span.
+  for (std::uint64_t b = 0; b <= compiled.index_slots(); ++b) {
+    const std::uint64_t boundary = span_start + (b << compiled.block_shift());
+    check(boundary - 1);
+    check(boundary);
+    check(boundary + 1);
+    check(boundary + (rng.next_u64() & ((std::uint64_t{1} << compiled.block_shift()) - 1)));
+  }
+  // Both ends of every prefix, the addresses just outside them, and one
+  // address inside: every compiled range starts at one of these edges.
+  fib.for_each([&](const FibEntry& e) {
+    const std::uint64_t lo = e.prefix.address().bits();
+    const std::uint64_t hi = lo + ((std::uint64_t{1} << (32 - e.prefix.length())) - 1);
+    check(lo - 1);
+    check(lo);
+    check(lo + (rng.next_u64() % (hi - lo + 1)));
+    check(hi);
+    check(hi + 1);
+  });
+  // Random addresses, half of them inside the clusters.
+  for (int i = 0; i < 2000; ++i) {
+    const auto bits = static_cast<std::uint32_t>(rng.next_u64());
+    check(i % 2 == 0 ? bits : (rng.pick(clusters) | (bits & 0xFFFF)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledFibSpan, ::testing::Range<std::uint64_t>(0, 16));
+
+TEST(CompiledFib, IndexScalesWithRangesNotAddressSpace) {
+  // 68 /17s inside 10.0.0.0/9, each followed by a gap: 137 ranges, the
+  // shape of a seed-1 benchmark router's table. The index must take about
+  // one slot per range, not a slot per fixed slice of the address space.
+  Fib fib;
+  for (std::uint32_t i = 0; i < 68; ++i) {
+    FibEntry e;
+    e.prefix = Prefix{Ipv4Addr{(10u << 24) | (i << 16)}, 17};
+    e.next_hop = NodeId{i};
+    fib.insert(e);
+  }
+  CompiledFib compiled;
+  compiled.compile(fib);
+  EXPECT_EQ(compiled.range_count(), 137u);
+  EXPECT_LE(compiled.index_slots(), 2 * compiled.range_count() + 2);
+  EXPECT_LE(compiled.memory_bytes(), 6u * 1024);
+  EXPECT_EQ(compiled.lookup(Ipv4Addr{10, 67, 127, 255})->next_hop, NodeId{67});
+  EXPECT_EQ(compiled.lookup(Ipv4Addr{10, 67, 128, 0}), nullptr);
+  EXPECT_EQ(compiled.lookup(Ipv4Addr{9, 255, 255, 255}), nullptr);
+}
+
 TEST(CompiledFib, NoOpReinstallKeepsEpochAndCompiledTable) {
   // The control-plane pattern: replace_origins with an identical table must
   // not move the epoch, so the compiled table stays valid (no recompile).
