@@ -75,6 +75,54 @@ void BM_CompiledFibLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledFibLookup)->Arg(64)->Arg(1024)->Arg(16384);
 
+/// A benchmark router's table shape: the /16s of 108 of 120 domains (every
+/// tenth missing, as for an unreachable domain) and 8 router loopbacks in
+/// its own /16, about 137 ranges. Unlike make_fib's contiguous /16s, an
+/// index block here holds several ranges, so lookups pay the bounded
+/// search as well as the index load.
+net::Fib make_clustered_fib() {
+  net::Fib fib;
+  for (std::uint32_t d = 0; d < 120; ++d) {
+    if (d % 10 == 9) continue;
+    net::FibEntry e;
+    e.prefix = net::Prefix{net::Ipv4Addr{(d + 1) << 16}, 16};
+    e.next_hop = net::NodeId{d};
+    fib.insert(e);
+  }
+  for (std::uint32_t r = 0; r < 8; ++r) {
+    net::FibEntry e;
+    e.prefix = net::Prefix::host(net::Ipv4Addr{(8u << 16) | (r << 8) | 1});
+    e.next_hop = net::NodeId{r};
+    fib.insert(e);
+  }
+  return fib;
+}
+
+void BM_CompiledFibLookupClustered(benchmark::State& state) {
+  const net::Fib fib = make_clustered_fib();
+  net::CompiledFib compiled;
+  compiled.compile(fib);
+  // Addresses across the 120 /16s, gaps included; every eighth is a
+  // loopback.
+  sim::Rng rng{1};
+  std::vector<net::Ipv4Addr> probes(4096);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    probes[i] = net::Ipv4Addr{static_cast<std::uint32_t>(
+        i % 8 == 0 ? (8u << 16) | ((rng.next_u64() % 8) << 8) | 1
+                   : ((rng.next_u64() % 120 + 1) << 16) | (rng.next_u64() & 0xFFFF))};
+  }
+  std::uint64_t hits = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    hits += compiled.lookup(probes[i]) != nullptr;
+    i = (i + 1) & (probes.size() - 1);
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(compiled.range_count()) + " ranges");
+}
+BENCHMARK(BM_CompiledFibLookupClustered);
+
 void BM_CompiledFibCompile(benchmark::State& state) {
   // Recompile cost: what one route-epoch invalidation costs a router the
   // next time the data plane touches it.
@@ -482,21 +530,47 @@ void BM_InstallRoutesAfterBorderCrash(benchmark::State& state) {
 }
 BENCHMARK(BM_InstallRoutesAfterBorderCrash)->Arg(120)->Unit(benchmark::kMicrosecond);
 
+/// A converged 16-domain internet with every router deployed.
+std::unique_ptr<core::EvolvableInternet> deployed_internet() {
+  auto net = std::make_unique<core::EvolvableInternet>(net::generate_transit_stub(
+      {.transit_domains = 4, .stubs_per_transit = 3, .seed = 13}));
+  net->start();
+  for (const auto& d : net->topology().domains()) net->deploy_domain(d.id);
+  net->converge();
+  return net;
+}
+
 void BM_VnBoneRebuild(benchmark::State& state) {
-  auto topo = net::generate_transit_stub(
-      {.transit_domains = 4, .stubs_per_transit = 3, .seed = 13});
-  core::EvolvableInternet net(std::move(topo));
-  net.start();
-  for (const auto& d : net.topology().domains()) net.deploy_domain(d.id);
-  net.converge();
+  // A rebuild whose inputs did not move: every domain's intra links come
+  // from the cache and the link list (so the trees) stays the same.
+  const auto net = deployed_internet();
   for (auto _ : state) {
-    net.vnbone().rebuild();
-    benchmark::DoNotOptimize(net.vnbone().virtual_links().size());
+    net->vnbone().rebuild();
+    benchmark::DoNotOptimize(net->vnbone().virtual_links().size());
   }
-  state.SetLabel(std::to_string(net.vnbone().deployed_routers().size()) +
+  state.SetLabel(std::to_string(net->vnbone().deployed_routers().size()) +
                  " routers");
 }
 BENCHMARK(BM_VnBoneRebuild)->Unit(benchmark::kMillisecond);
+
+void BM_VnBoneRebuildMemberFlip(benchmark::State& state) {
+  // Two rebuilds whose inputs moved: one transit member leaves, then
+  // rejoins, so its domain's intra links are recomputed and the link list
+  // changes each time. The IGP work the flip schedules drains untimed.
+  const auto net = deployed_internet();
+  auto& bone = net->vnbone();
+  const net::NodeId member = net->topology().domain(net::DomainId{0}).routers[1];
+  for (auto _ : state) {
+    bone.undeploy_router(member);
+    bone.rebuild();
+    bone.deploy_router(member);
+    bone.rebuild();
+    state.PauseTiming();
+    net->converge();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_VnBoneRebuildMemberFlip)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndSend(benchmark::State& state) {
   auto topo = net::generate_transit_stub(

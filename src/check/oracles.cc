@@ -529,6 +529,32 @@ void check_vn_route_fixpoint(const EvolvableInternet& internet,
   }
 }
 
+/// ---- vN-Bone construction fixpoint --------------------------------------
+
+void check_vnbone_fixpoint(const EvolvableInternet& internet,
+                           std::vector<Violation>& out) {
+  for (std::size_t g = 0; g < internet.generation_count(); ++g) {
+    const auto& got = internet.generation(g).virtual_links();
+    const auto want = internet.generation(g).reference_links();
+    if (got == want) continue;
+    const auto [a, b] = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    const auto describe = [](const vnbone::VirtualLink& l) {
+      return node_str(l.a) + "-" + node_str(l.b) + " cost " +
+             std::to_string(l.underlay_cost) + " (" + vnbone::to_string(l.source) + ")";
+    };
+    const auto at = [&](auto it, const auto& links) {
+      return it == links.end() ? std::string("none") : describe(*it);
+    };
+    out.push_back({OracleKind::kVnBoneFixpoint, 0,
+                   "generation " + std::to_string(g) + ": " +
+                       std::to_string(got.size()) +
+                       " virtual links differ from a from-scratch build (" +
+                       std::to_string(want.size()) + ") first at index " +
+                       std::to_string(a - got.begin()) + ": " + at(a, got) + " vs " +
+                       at(b, want)});
+  }
+}
+
 }  // namespace
 
 const char* to_string(OracleKind oracle) {
@@ -545,6 +571,7 @@ const char* to_string(OracleKind oracle) {
     case OracleKind::kConvergenceBudget: return "convergence-budget";
     case OracleKind::kBgpFibFixpoint: return "bgp-fib-fixpoint";
     case OracleKind::kVnRouteFixpoint: return "vn-route-fixpoint";
+    case OracleKind::kVnBoneFixpoint: return "vnbone-fixpoint";
   }
   return "?";
 }
@@ -567,6 +594,7 @@ std::vector<Violation> check_invariants(const EvolvableInternet& internet,
   check_state_bound(internet, out);
   check_bgp_fib_fixpoint(internet, out);
   check_vn_route_fixpoint(internet, options, out);
+  check_vnbone_fixpoint(internet, out);
   return out;
 }
 

@@ -33,7 +33,11 @@
 //                       BGP-to-FIB install missed no input change);
 //   kVnRouteFixpoint    vN routes read from the vN-Bone's routing tables
 //                       equal routes computed from scratch (no table
-//                       outlived the input it derives from).
+//                       outlived the input it derives from, including the
+//                       trees a rebuild with an equal link list keeps);
+//   kVnBoneFixpoint     every generation's virtual links equal a
+//                       from-scratch build (no per-domain cache entry
+//                       outlived its inputs).
 #pragma once
 
 #include <cstdint>
@@ -57,6 +61,7 @@ enum class OracleKind : std::uint8_t {
   kConvergenceBudget,
   kBgpFibFixpoint,
   kVnRouteFixpoint,
+  kVnBoneFixpoint,
 };
 
 const char* to_string(OracleKind oracle);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 
 namespace evo::vnbone {
 
@@ -66,7 +67,13 @@ void VnBone::ensure_group(DomainId first_domain) {
 }
 
 void VnBone::deploy_router(NodeId router) {
-  if (!deployed_.insert(router).second) return;
+  if (deployed(router)) return;
+  if (deployed_.size() <= router.value()) {
+    deployed_.resize(std::max<std::size_t>(router.value() + 1,
+                                           network_.topology().router_count()));
+  }
+  deployed_[router.value()] = true;
+  ++deployed_count_;
   const DomainId domain = network_.topology().router(router).domain;
   if (members_.size() <= domain.value()) members_.resize(domain.value() + 1);
   auto& members = members_[domain.value()];
@@ -79,7 +86,9 @@ void VnBone::deploy_router(NodeId router) {
 }
 
 void VnBone::undeploy_router(NodeId router) {
-  if (deployed_.erase(router) == 0) return;
+  if (!deployed(router)) return;
+  deployed_[router.value()] = false;
+  --deployed_count_;
   const DomainId domain = network_.topology().router(router).domain;
   auto& members = members_[domain.value()];
   members.erase(std::lower_bound(members.begin(), members.end(), router));
@@ -95,13 +104,22 @@ void VnBone::deploy_domain(DomainId domain) {
   }
 }
 
+std::vector<NodeId> VnBone::deployed_routers() const {
+  std::vector<NodeId> out;
+  out.reserve(deployed_count_);
+  for (std::uint32_t r = 0; r < deployed_.size(); ++r) {
+    if (deployed_[r]) out.push_back(NodeId{r});
+  }
+  return out;
+}
+
 const std::vector<NodeId>& VnBone::deployed_routers_in(DomainId domain) const {
   static const std::vector<NodeId> kNone;
   return domain.value() < members_.size() ? members_[domain.value()] : kNone;
 }
 
 bool VnBone::active(NodeId router) const {
-  return deployed_.contains(router) && network_.topology().router(router).up;
+  return deployed(router) && network_.topology().router(router).up;
 }
 
 bool VnBone::domain_active(DomainId domain) const {
@@ -113,8 +131,8 @@ bool VnBone::domain_active(DomainId domain) const {
 
 std::vector<NodeId> VnBone::active_routers() const {
   std::vector<NodeId> out;
-  for (const NodeId r : deployed_) {
-    if (active(r)) out.push_back(r);
+  for (std::uint32_t r = 0; r < deployed_.size(); ++r) {
+    if (active(NodeId{r})) out.push_back(NodeId{r});
   }
   return out;
 }
@@ -136,26 +154,376 @@ void VnBone::remove_manual_tunnel(NodeId a, NodeId b) {
   manual_tunnels_.erase({std::min(a, b), std::max(a, b)});
 }
 
-void VnBone::rebuild() {
-  links_.clear();
-  graph_.reset();
-  trees_.clear();
-  partition_repairs_ = 0;
-  bootstrap_tunnels_ = 0;
-  obs::SpanId span;
-  if (recorder_ != nullptr) {
-    span = recorder_->open_span(obs::Domain::kVnBone, "vnbone.rebuild",
-                                deployed_.size());
+namespace {
+
+/// An unordered router pair as one sortable key: (low << 32) | high.
+std::uint64_t pair_key(NodeId a, NodeId b) {
+  const std::uint64_t lo = std::min(a.value(), b.value());
+  const std::uint64_t hi = std::max(a.value(), b.value());
+  return lo << 32 | hi;
+}
+
+/// Union-find over dense indices. A set's root is its smallest index, so
+/// comparing roots orders components by their lowest member, the order in
+/// which net::connected_components numbers them.
+class UnionFind {
+ public:
+  explicit UnionFind(std::size_t n) : parent_(n), count_(n) {
+    std::iota(parent_.begin(), parent_.end(), 0u);
   }
-  // Every exit below must pass through the close at the end of this
-  // function; the only other return is the empty-deployment one here.
-  if (deployed_.empty()) {
-    if (recorder_ != nullptr) recorder_->close_span(span);
+  std::uint32_t find(std::uint32_t i) {
+    while (parent_[i] != i) i = parent_[i] = parent_[parent_[i]];
+    return i;
+  }
+  void unite(std::uint32_t a, std::uint32_t b) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return;
+    parent_[std::max(a, b)] = std::min(a, b);
+    --count_;
+  }
+  /// Number of sets.
+  std::size_t count() const { return count_; }
+
+ private:
+  std::vector<std::uint32_t> parent_;
+  std::size_t count_;
+};
+
+}  // namespace
+
+void VnBone::compute_intra(IntraLinks& out) const {
+  const IntraKey& key = out.key;
+  out.links.clear();
+  out.repairs = 0;
+  out.bootstraps = 0;
+  const auto& members = key.members;
+  const std::size_t n = members.size();
+  if (n < 2 || key.distances.empty()) return;
+
+  auto dist = [&](std::size_t i, std::size_t j) { return key.distances[i * n + j]; };
+  // Member pairs already linked, and the components they form.
+  std::vector<bool> linked(n * n);
+  UnionFind comps(n);
+  auto join = [&](std::size_t i, std::size_t j) {
+    linked[i * n + j] = linked[j * n + i] = true;
+    comps.unite(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
+  };
+  auto index_of = [&](std::uint64_t node) {
+    const NodeId r{static_cast<std::uint32_t>(node)};
+    return static_cast<std::size_t>(
+        std::lower_bound(members.begin(), members.end(), r) - members.begin());
+  };
+  for (const std::uint64_t pair : key.joined) {
+    join(index_of(pair >> 32), index_of(pair & 0xFFFFFFFFu));
+  }
+  auto add = [&](std::size_t i, std::size_t j, Cost cost, VirtualLink::Source source) {
+    if (linked[i * n + j]) return;
+    join(i, j);
+    out.links.push_back(VirtualLink{members[i], members[j], cost, false, source});
+  };
+
+  if (!key.discovery) {
+    // Footnote-3 fallback: no member enumeration, so no k-closest rule.
+    // Each member (in join order) anycasts to find its nearest existing
+    // member and tunnels to it — a connected tree by construction.
+    // (Members are in NodeId order == join-order model.)
+    for (std::size_t i = 1; i < n; ++i) {
+      std::size_t nearest = 0;
+      for (std::size_t j = 1; j < i; ++j) {
+        if (dist(i, j) < dist(i, nearest)) nearest = j;
+      }
+      if (dist(i, nearest) != net::kInfiniteCost) {
+        add(i, nearest, dist(i, nearest), VirtualLink::Source::kAnycastBootstrap);
+        ++out.bootstraps;
+      }
+    }
     return;
   }
 
+  std::vector<std::pair<Cost, std::size_t>> ranked;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Rank other members by (distance, id); take the k nearest.
+    ranked.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i && dist(i, j) != net::kInfiniteCost) ranked.push_back({dist(i, j), j});
+    }
+    std::sort(ranked.begin(), ranked.end());
+    const std::size_t k = std::min<std::size_t>(config_.k_neighbors, ranked.size());
+    for (std::size_t t = 0; t < k; ++t) {
+      add(i, ranked[t].second, ranked[t].first, VirtualLink::Source::kIntraK);
+    }
+  }
+
+  // Partition detection & repair: "such [partitions] can be easily
+  // detected and repaired because every router has complete knowledge of
+  // all other IPvN routers" (§3.3.1). Greedily connect components with
+  // the cheapest member pair (a, b), a's component ordered before b's;
+  // pairs are visited in (a, b) order, so the first cheapest one wins.
+  std::vector<std::uint32_t> root(n);
+  while (comps.count() > 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      root[i] = comps.find(static_cast<std::uint32_t>(i));
+    }
+    std::optional<std::pair<std::size_t, std::size_t>> best;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (root[i] >= root[j]) continue;
+        if (!best || dist(i, j) < dist(best->first, best->second)) best = {i, j};
+      }
+    }
+    const Cost cost = best ? dist(best->first, best->second) : net::kInfiniteCost;
+    if (cost == net::kInfiniteCost) break;  // physically split
+    add(best->first, best->second, cost, VirtualLink::Source::kPartitionRepair);
+    ++out.repairs;
+  }
+}
+
+void VnBone::rebuild() {
+  obs::SpanId span;
+  if (recorder_ != nullptr) {
+    span = recorder_->open_span(obs::Domain::kVnBone, "vnbone.rebuild",
+                                deployed_count_);
+  }
+  std::vector<VirtualLink> previous = std::move(links_);
+  links_.clear();
+  links_.reserve(previous.size());
+  partition_repairs_ = 0;
+  bootstrap_tunnels_ = 0;
+  if (deployed_count_ != 0) build_links();
+  // The trees are a function of the links alone: an equal list keeps them.
+  if (links_ != previous) {
+    graph_.reset();
+    trees_.clear();
+  }
+  if (recorder_ != nullptr) {
+    recorder_->close_span(span, links_.size(),
+                          (std::uint64_t{partition_repairs_} << 32) |
+                              static_cast<std::uint32_t>(bootstrap_tunnels_));
+  }
+}
+
+void VnBone::build_links() {
   const auto& topo = network_.topology();
   const auto& domains = deployed_domains();
+  std::optional<Graph> physical;
+  auto physical_graph = [&]() -> const Graph& {
+    if (!physical) physical = topo.physical_graph();
+    return *physical;
+  };
+
+  // ---- operator-configured (manual) tunnels -----------------------------
+  // Added first: explicit configuration takes precedence over (and is not
+  // absorbed by) the automatic rules.
+  std::vector<std::uint64_t> manual;  // their pair keys, sorted
+  for (const auto& [a, b] : manual_tunnels_) {
+    if (!active(a) || !active(b)) continue;  // dormant until both deploy & up
+    const auto paths = net::dijkstra(physical_graph(), a);
+    if (!paths.reachable(b)) continue;
+    const bool interdomain = topo.router(a).domain != topo.router(b).domain;
+    links_.push_back(VirtualLink{a, b, paths.distance_to(b), interdomain,
+                                 VirtualLink::Source::kManual});
+    manual.push_back(pair_key(a, b));
+  }
+  auto is_manual = [&](NodeId a, NodeId b) {
+    return std::binary_search(manual.begin(), manual.end(), pair_key(a, b));
+  };
+
+  // ---- per domain: active members, congruent links, intra-domain links --
+  // A domain's intra-domain links are recomputed only when their inputs
+  // (IntraKey) moved since the last rebuild.
+  if (intra_.size() < topo.domain_count()) intra_.resize(topo.domain_count());
+  std::vector<net::LinkId> congruent;
+  IntraKey next;  // swapped into an entry whose key moved, so buffers are reused
+  for (const DomainId domain : domains) {
+    next.members.clear();
+    for (const NodeId r : deployed_routers_in(domain)) {
+      if (topo.router(r).up) next.members.push_back(r);
+    }
+    next.joined.clear();
+    for (const auto& l : links_) {  // the manual links
+      if (!l.interdomain && topo.router(l.a).domain == domain) {
+        next.joined.push_back(pair_key(l.a, l.b));
+      }
+    }
+    // Congruence evolution adopts the physical links between members.
+    for (const NodeId r : next.members) {
+      if (!config_.congruent_evolution) break;
+      for (const net::LinkId id : topo.router(r).links) {
+        const auto& link = topo.link(id);
+        if (link.a != r || link.interdomain || !topo.link_usable(id) ||
+            !active(link.b)) {
+          continue;
+        }
+        congruent.push_back(id);
+        next.joined.push_back(pair_key(link.a, link.b));
+      }
+    }
+    igp::Igp* igp = igp_of_(domain);
+    next.discovery = !config_.respect_discovery_limits ||
+                     (igp != nullptr && igp->supports_member_discovery());
+    const std::size_t n = next.members.size();
+    next.distances.assign(igp != nullptr && n >= 2 ? n * n : 0, 0);
+    for (std::size_t i = 0; i < n && !next.distances.empty(); ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i != j) {
+          next.distances[i * n + j] = igp->distance(next.members[i], next.members[j]);
+        }
+      }
+    }
+    auto& entry = intra_[domain.value()];
+    if (!(entry.key == next)) {
+      std::swap(entry.key, next);
+      compute_intra(entry);
+    }
+    partition_repairs_ += entry.repairs;
+    bootstrap_tunnels_ += entry.bootstraps;
+  }
+  static const std::vector<NodeId> kNone;
+  auto members_of = [&](DomainId domain) -> const std::vector<NodeId>& {
+    return domain_deployed(domain) ? intra_[domain.value()].key.members : kNone;
+  };
+
+  // Congruent links in link-id order; a pair a manual link or a parallel
+  // link of lower id already joins is skipped.
+  std::sort(congruent.begin(), congruent.end());
+  for (const net::LinkId id : congruent) {
+    const auto& link = topo.link(id);
+    const auto& incident = topo.router(link.a).links;
+    if (is_manual(link.a, link.b) ||
+        std::any_of(incident.begin(), incident.end(), [&](net::LinkId other) {
+          return other < id && topo.link(other).other_end(link.a) == link.b &&
+                 topo.link_usable(other);
+        })) {
+      continue;
+    }
+    links_.push_back(VirtualLink{link.a, link.b, link.cost, false,
+                                 VirtualLink::Source::kCongruent});
+  }
+
+  // ---- intra-domain: k closest neighbors, then partition repair --------
+  for (const DomainId domain : domains) {
+    const auto& links = intra_[domain.value()].links;
+    links_.insert(links_.end(), links.begin(), links.end());
+  }
+
+  // ---- inter-domain: tunnels along peerings ------------------------------
+  for (const DomainId da : domains) {
+    // Two tunnels can only share endpoints when they join the same two
+    // domains, so a duplicate is looked for among da's tunnels alone.
+    const std::size_t first = links_.size();
+    for (const auto& peering : topo.domain(da).peerings) {
+      const DomainId db = peering.neighbor;
+      if (da >= db) continue;  // each pair once (peerings are symmetric)
+      if (members_of(db).empty()) continue;
+      const auto& link = topo.link(peering.link);
+      if (!topo.link_usable(peering.link)) continue;
+      // Tunnel endpoints: each side's IPvN router closest (by IGP) to its
+      // end of the physical peering link.
+      const NodeId end_a =
+          topo.router(link.a).domain == da ? link.a : link.b;
+      const NodeId end_b = link.other_end(end_a);
+      auto closest_member = [&](DomainId domain, NodeId to) {
+        igp::Igp* igp = igp_of_(domain);
+        NodeId best = NodeId::invalid();
+        Cost best_d = net::kInfiniteCost;
+        for (const NodeId m : members_of(domain)) {
+          const Cost d =
+              (m == to) ? 0 : (igp ? igp->distance(m, to) : net::kInfiniteCost);
+          if (d < best_d || (d == best_d && m < best)) {
+            best = m;
+            best_d = d;
+          }
+        }
+        return std::make_pair(best, best_d);
+      };
+      const auto [ra, da_cost] = closest_member(da, end_a);
+      const auto [rb, db_cost] = closest_member(db, end_b);
+      if (!ra.valid() || !rb.valid()) continue;
+      if (da_cost == net::kInfiniteCost || db_cost == net::kInfiniteCost) continue;
+      if (is_manual(ra, rb) ||
+          std::any_of(links_.begin() + static_cast<std::ptrdiff_t>(first), links_.end(),
+                      [&](const VirtualLink& l) {
+                        return pair_key(l.a, l.b) == pair_key(ra, rb);
+                      })) {
+        continue;
+      }
+      links_.push_back(VirtualLink{ra, rb, da_cost + link.cost + db_cost, true,
+                                   VirtualLink::Source::kPeeringTunnel});
+    }
+  }
+
+  // ---- anycast bootstrap: connect stranded components to the default ----
+  // "a newly joined ISP could reuse the anycast mechanism as the initial
+  // bootstrap"; "every domain [should] ensure that it is connected ... to
+  // the 'default' provider of the anycast address" (§3.3.1).
+  // The default component holds the default domain's first active router
+  // (the default domain always had one: it deployed first).
+  const auto& default_members = members_of(default_domain_);
+  if (default_members.empty()) return;  // default fully dark: no anchor
+  const auto routers = static_cast<std::uint32_t>(deployed_.size());
+  UnionFind comps(topo.router_count());
+  for (const auto& l : links_) comps.unite(l.a.value(), l.b.value());
+  // Routers proven physically unreachable from every other component stay
+  // stranded; skipping their whole component keeps the loop repairing
+  // everyone else.
+  std::vector<bool> hopeless(routers);
+  while (true) {
+    const std::uint32_t anchor = comps.find(default_members.front().value());
+    // Find a stranded active router (lowest id for determinism).
+    NodeId stranded = NodeId::invalid();
+    for (std::uint32_t r = 0; r < routers; ++r) {
+      if (active(NodeId{r}) && !hopeless[r] && comps.find(r) != anchor) {
+        stranded = NodeId{r};
+        break;
+      }
+    }
+    if (!stranded.valid()) break;
+
+    // Bootstrap: the stranded router reaches the nearest *foreign-
+    // component* IPvN router through the anycast mechanism (modeled as the
+    // closest member by unicast distance — valid because the stranded ISP
+    // is not yet advertising the anycast route itself, per the paper's
+    // footnote).
+    const std::uint32_t home = comps.find(stranded.value());
+    const auto paths = net::dijkstra(physical_graph(), stranded);
+    NodeId target = NodeId::invalid();
+    Cost target_d = net::kInfiniteCost;
+    for (std::uint32_t m = 0; m < routers; ++m) {
+      if (!active(NodeId{m}) || comps.find(m) == home) continue;
+      const Cost d = paths.distance_to(NodeId{m});
+      if (d < target_d) {  // ascending ids: the lowest wins ties
+        target = NodeId{m};
+        target_d = d;
+      }
+    }
+    if (!target.valid()) {
+      // Physically cut off; no overlay can help. Mark the whole component
+      // hopeless and keep repairing the rest.
+      for (std::uint32_t r = 0; r < routers; ++r) {
+        if (comps.find(r) == home) hopeless[r] = true;
+      }
+      continue;
+    }
+    // Different components, so no existing link joins the pair.
+    links_.push_back(VirtualLink{stranded, target, target_d, true,
+                                 VirtualLink::Source::kAnycastBootstrap});
+    comps.unite(stranded.value(), target.value());
+    ++bootstrap_tunnels_;
+  }
+}
+
+std::vector<VirtualLink> VnBone::reference_links() const {
+  std::vector<VirtualLink> links;
+  if (deployed_count_ == 0) return links;
+
+  const auto& topo = network_.topology();
+  const auto& domains = deployed_domains();
+  auto graph_of = [&]() {
+    Graph g(topo.router_count());
+    for (const auto& l : links) g.add_undirected_edge(l.a, l.b, l.underlay_cost);
+    return g;
+  };
 
   // Dedup helper: canonical (low, high) pairs already linked.
   std::set<std::pair<std::uint32_t, std::uint32_t>> have;
@@ -164,45 +532,33 @@ void VnBone::rebuild() {
     const std::uint32_t lo = std::min(a.value(), b.value());
     const std::uint32_t hi = std::max(a.value(), b.value());
     if (!have.insert({lo, hi}).second) return;
-    links_.push_back(VirtualLink{a, b, cost, interdomain, source});
+    links.push_back(VirtualLink{a, b, cost, interdomain, source});
   };
 
-  // ---- operator-configured (manual) tunnels -----------------------------
-  // Added first: explicit configuration takes precedence over (and is not
-  // absorbed by) the automatic rules.
   for (const auto& [a, b] : manual_tunnels_) {
-    if (!active(a) || !active(b)) continue;  // dormant until both deploy & up
+    if (!active(a) || !active(b)) continue;
     const auto paths = net::dijkstra(topo.physical_graph(), a);
     if (!paths.reachable(b)) continue;
     const bool interdomain = topo.router(a).domain != topo.router(b).domain;
-    add_link(a, b, paths.distance_to(b), interdomain,
-             VirtualLink::Source::kManual);
+    add_link(a, b, paths.distance_to(b), interdomain, VirtualLink::Source::kManual);
   }
 
-  // ---- congruence evolution: adopt physical links between members ------
   if (config_.congruent_evolution) {
     for (const auto& link : topo.links()) {
       if (link.interdomain || !topo.link_usable(link.id)) continue;
       if (active(link.a) && active(link.b)) {
-        add_link(link.a, link.b, link.cost, false,
-                 VirtualLink::Source::kCongruent);
+        add_link(link.a, link.b, link.cost, false, VirtualLink::Source::kCongruent);
       }
     }
   }
 
-  // ---- intra-domain: k closest neighbors, then partition repair --------
   for (const DomainId domain : domains) {
     const auto members = active_routers_in(domain);
     igp::Igp* igp = igp_of_(domain);
     if (members.size() < 2 || igp == nullptr) continue;
-
     auto dist = [&](NodeId a, NodeId b) { return igp->distance(a, b); };
 
     if (config_.respect_discovery_limits && !igp->supports_member_discovery()) {
-      // Footnote-3 fallback: no member enumeration, so no k-closest rule.
-      // Each member (in join order) anycasts to find its nearest existing
-      // member and tunnels to it — a connected tree by construction.
-      // (deployed_routers_in returns NodeId order == join-order model.)
       for (std::size_t i = 1; i < members.size(); ++i) {
         NodeId nearest = NodeId::invalid();
         Cost nearest_d = net::kInfiniteCost;
@@ -216,14 +572,12 @@ void VnBone::rebuild() {
         if (nearest.valid() && nearest_d != net::kInfiniteCost) {
           add_link(members[i], nearest, nearest_d, false,
                    VirtualLink::Source::kAnycastBootstrap);
-          ++bootstrap_tunnels_;
         }
       }
       continue;
     }
 
     for (const NodeId r : members) {
-      // Rank other members by (distance, id); take the k nearest.
       std::vector<std::pair<Cost, NodeId>> ranked;
       for (const NodeId m : members) {
         if (m == r) continue;
@@ -239,18 +593,13 @@ void VnBone::rebuild() {
       }
     }
 
-    // Partition detection & repair: "such [partitions] can be easily
-    // detected and repaired because every router has complete knowledge of
-    // all other IPvN routers" (§3.3.1). Greedily connect components with
-    // the cheapest available member pair.
     while (true) {
       Graph g(topo.router_count());
-      for (const auto& l : links_) {
+      for (const auto& l : links) {
         if (!l.interdomain && topo.router(l.a).domain == domain) {
           g.add_undirected_edge(l.a, l.b, l.underlay_cost);
         }
       }
-      // Component labels restricted to this domain's members.
       const auto comps = net::connected_components(g);
       std::set<std::uint32_t> labels;
       for (const NodeId m : members) labels.insert(comps.label[m.value()]);
@@ -263,39 +612,35 @@ void VnBone::rebuild() {
         for (const NodeId b : members) {
           if (comps.label[a.value()] >= comps.label[b.value()]) continue;
           const Cost d = dist(a, b);
-          if (d < best_cost || (d == best_cost && (a < best_a || (a == best_a && b < best_b)))) {
+          if (d < best_cost ||
+              (d == best_cost && (a < best_a || (a == best_a && b < best_b)))) {
             best_cost = d;
             best_a = a;
             best_b = b;
           }
         }
       }
-      if (!best_a.valid() || best_cost == net::kInfiniteCost) break;  // physically split
-      add_link(best_a, best_b, best_cost, false,
-               VirtualLink::Source::kPartitionRepair);
-      ++partition_repairs_;
+      if (!best_a.valid() || best_cost == net::kInfiniteCost) break;
+      add_link(best_a, best_b, best_cost, false, VirtualLink::Source::kPartitionRepair);
     }
   }
 
-  // ---- inter-domain: tunnels along peerings ------------------------------
   for (const DomainId da : domains) {
     for (const auto& peering : topo.domain(da).peerings) {
       const DomainId db = peering.neighbor;
-      if (da >= db) continue;  // each pair once (peerings are symmetric)
+      if (da >= db) continue;
       if (!domain_active(db)) continue;
       const auto& link = topo.link(peering.link);
       if (!topo.link_usable(peering.link)) continue;
-      // Tunnel endpoints: each side's IPvN router closest (by IGP) to its
-      // end of the physical peering link.
-      const NodeId end_a =
-          topo.router(link.a).domain == da ? link.a : link.b;
+      const NodeId end_a = topo.router(link.a).domain == da ? link.a : link.b;
       const NodeId end_b = link.other_end(end_a);
       auto closest_member = [&](DomainId domain, NodeId to) {
         igp::Igp* igp = igp_of_(domain);
         NodeId best = NodeId::invalid();
         Cost best_d = net::kInfiniteCost;
         for (const NodeId m : active_routers_in(domain)) {
-          const Cost d = (m == to) ? 0 : (igp ? igp->distance(m, to) : net::kInfiniteCost);
+          const Cost d =
+              (m == to) ? 0 : (igp ? igp->distance(m, to) : net::kInfiniteCost);
           if (d < best_d || (d == best_d && m < best)) {
             best = m;
             best_d = d;
@@ -312,44 +657,28 @@ void VnBone::rebuild() {
     }
   }
 
-  // ---- anycast bootstrap: connect stranded components to the default ----
-  // "a newly joined ISP could reuse the anycast mechanism as the initial
-  // bootstrap"; "every domain [should] ensure that it is connected ... to
-  // the 'default' provider of the anycast address" (§3.3.1).
   const net::Graph physical = topo.physical_graph();
-  // Routers proven physically unreachable from every other component stay
-  // stranded; skipping their whole component keeps the loop repairing
-  // everyone else.
+  const auto active = active_routers();
   std::set<NodeId> hopeless;
   while (true) {
-    Graph g = virtual_graph();
-    const auto comps = net::connected_components(g);
-    // The default component: the one holding the default domain's first
-    // deployed router (default domain always has one: it deployed first).
+    const auto comps = net::connected_components(graph_of());
     const auto default_members = active_routers_in(default_domain_);
-    if (default_members.empty()) break;  // default fully dark: no anchor
+    if (default_members.empty()) break;
     const std::uint32_t anchor = comps.label[default_members.front().value()];
 
-    // Find a stranded active router (lowest id for determinism).
     NodeId stranded = NodeId::invalid();
-    for (const NodeId r : deployed_) {
-      if (active(r) && comps.label[r.value()] != anchor && !hopeless.contains(r)) {
+    for (const NodeId r : active) {
+      if (comps.label[r.value()] != anchor && !hopeless.contains(r)) {
         stranded = r;
         break;
       }
     }
     if (!stranded.valid()) break;
 
-    // Bootstrap: the stranded router reaches the nearest *foreign-
-    // component* IPvN router through the anycast mechanism (modeled as the
-    // closest member by unicast distance — valid because the stranded ISP
-    // is not yet advertising the anycast route itself, per the paper's
-    // footnote).
     const auto paths = net::dijkstra(physical, stranded);
     NodeId target = NodeId::invalid();
     Cost target_d = net::kInfiniteCost;
-    for (const NodeId m : deployed_) {
-      if (!active(m)) continue;
+    for (const NodeId m : active) {
       if (comps.label[m.value()] == comps.label[stranded.value()]) continue;
       const Cost d = paths.distance_to(m);
       if (d < target_d || (d == target_d && m < target)) {
@@ -358,24 +687,16 @@ void VnBone::rebuild() {
       }
     }
     if (!target.valid() || target_d == net::kInfiniteCost) {
-      // Physically cut off; no overlay can help. Mark the whole component
-      // hopeless and keep repairing the rest.
-      for (const NodeId r : deployed_) {
+      for (const NodeId r : active) {
         if (comps.label[r.value()] == comps.label[stranded.value()]) {
           hopeless.insert(r);
         }
       }
       continue;
     }
-    add_link(stranded, target, target_d, true,
-             VirtualLink::Source::kAnycastBootstrap);
-    ++bootstrap_tunnels_;
+    add_link(stranded, target, target_d, true, VirtualLink::Source::kAnycastBootstrap);
   }
-  if (recorder_ != nullptr) {
-    recorder_->close_span(span, links_.size(),
-                          (std::uint64_t{partition_repairs_} << 32) |
-                              static_cast<std::uint32_t>(bootstrap_tunnels_));
-  }
+  return links;
 }
 
 void VnBone::register_endhost_route(IpvNAddr self_addr, NodeId advertiser) {
@@ -449,7 +770,10 @@ const net::ShortestPaths& VnBone::tree_from(NodeId ingress) const {
     trees_.assign(graph_->size(), std::nullopt);
   }
   auto& tree = trees_[ingress.value()];
-  if (!tree) tree = net::dijkstra(*graph_, ingress);
+  if (!tree) {
+    tree = net::dijkstra(*graph_, ingress);
+    ++tree_builds_;
+  }
   return *tree;
 }
 

@@ -105,6 +105,8 @@ struct VirtualLink {
   net::Cost underlay_cost = 0;
   bool interdomain = false;
   Source source = Source::kIntraK;
+
+  friend bool operator==(const VirtualLink&, const VirtualLink&) = default;
 };
 
 const char* to_string(VirtualLink::Source source);
@@ -134,13 +136,14 @@ class VnBone {
   /// Deploy every router of `domain`.
   void deploy_domain(net::DomainId domain);
 
-  bool deployed(net::NodeId router) const { return deployed_.contains(router); }
+  bool deployed(net::NodeId router) const {
+    return router.value() < deployed_.size() && deployed_[router.value()];
+  }
   bool domain_deployed(net::DomainId domain) const {
     return !deployed_routers_in(domain).empty();
   }
-  std::vector<net::NodeId> deployed_routers() const {
-    return {deployed_.begin(), deployed_.end()};
-  }
+  /// Every deployed router, sorted by NodeId.
+  std::vector<net::NodeId> deployed_routers() const;
   /// `domain`'s deployed routers, sorted by NodeId.
   const std::vector<net::NodeId>& deployed_routers_in(net::DomainId domain) const;
   /// Domains with at least one deployed router, sorted.
@@ -154,7 +157,20 @@ class VnBone {
   // --- virtual topology ----------------------------------------------------
   /// Rebuild the virtual topology from the (converged) substrate. Call
   /// after deployment changes and after the simulator reaches quiescence.
+  ///
+  /// The work follows what changed. A domain's intra-domain links (k
+  /// closest, partition repairs, the bootstrap tree of a plain-DV domain)
+  /// are kept from the last rebuild while their inputs are equal: the
+  /// domain's active members, the IGP distances between them, whether its
+  /// IGP supports member discovery, and the member pairs its manual and
+  /// congruent links already join. The cache compares these itself, so a
+  /// caller needs no notification. When the rebuilt link list equals the
+  /// old one, the vN routing trees (see route()) are kept too.
   void rebuild();
+
+  /// The virtual links rebuild() would produce from scratch, with no
+  /// cache: the vnbone-fixpoint oracle compares them to virtual_links().
+  std::vector<VirtualLink> reference_links() const;
 
   /// MBone-style manual configuration (§3.3: "many ISPs might, as in the
   /// past, simply choose to configure their networks by hand"): a
@@ -173,6 +189,8 @@ class VnBone {
   /// Diagnostics from the last rebuild().
   std::size_t partition_repairs() const { return partition_repairs_; }
   std::size_t bootstrap_tunnels() const { return bootstrap_tunnels_; }
+  /// Per-ingress routing trees built by route() so far.
+  std::size_t tree_builds() const { return tree_builds_; }
 
   /// Telemetry sink: rebuild() episodes become spans carrying link and
   /// repair counts. Null by default.
@@ -204,7 +222,8 @@ class VnBone {
   /// tables filled on first use, each cleared by the one input it derives
   /// from:
   ///   - the shortest-path tree from each ingress over the virtual links
-  ///     (cleared by rebuild(), which alone changes the links);
+  ///     (cleared by a rebuild() that changes the links, the only thing
+  ///     that does; a rebuild that yields an equal link list keeps them);
   ///   - the proxy-distance table: per (domain, target domain), the
   ///     BGPv(N-1) path length and the border router holding that route
   ///     (cleared when BgpSystem::loc_rib_version() moves);
@@ -268,13 +287,37 @@ class VnBone {
   using LegacyFn = LegacyReach (VnBone::*)(net::DomainId, net::DomainId) const;
 
   /// The shortest-path tree from `ingress` over the virtual links, built
-  /// on first use after a rebuild().
+  /// on first use after a rebuild() that changed the links.
   const net::ShortestPaths& tree_from(net::NodeId ingress) const;
 
   /// The egress selection behind route() and reference_route(), given the
   /// tree from an active `ingress` and a source of legacy reach.
   VnRoute select_route(net::NodeId ingress, net::IpvNAddr dst, EgressMode mode,
                        const net::ShortestPaths& paths, LegacyFn reach_of) const;
+
+  /// The inputs of one domain's intra-domain links (see rebuild()).
+  struct IntraKey {
+    std::vector<net::NodeId> members;  // active, sorted
+    /// IGP distances, members x members, row-major; empty without an IGP.
+    std::vector<net::Cost> distances;
+    std::vector<std::uint64_t> joined;  // pair keys of manual and congruent links
+    bool discovery = true;              // the k-closest rule is available
+
+    friend bool operator==(const IntraKey&, const IntraKey&) = default;
+  };
+  /// A domain's intra-domain links as computed from `key`. A
+  /// default-constructed entry is consistent: its key yields no links.
+  struct IntraLinks {
+    IntraKey key;
+    std::vector<VirtualLink> links;
+    std::size_t repairs = 0;
+    std::size_t bootstraps = 0;
+  };
+  /// Fills `out.links` and its counters from `out.key` alone.
+  void compute_intra(IntraLinks& out) const;
+  /// rebuild()'s body on a non-empty deployment: fills links_ and the
+  /// diagnostics.
+  void build_links();
 
   void ensure_group(net::DomainId first_domain);
   igp::Igp* igp_for_node(net::NodeId node) const;
@@ -297,7 +340,8 @@ class VnBone {
 
   net::GroupId group_ = net::GroupId::invalid();
   net::DomainId default_domain_ = net::DomainId::invalid();
-  std::set<net::NodeId> deployed_;
+  std::vector<bool> deployed_;                     // by NodeId value
+  std::size_t deployed_count_ = 0;
   std::vector<std::vector<net::NodeId>> members_;  // deployed, by DomainId value
   std::vector<net::DomainId> domains_;             // deployed domains, sorted
   std::set<std::pair<net::NodeId, net::NodeId>> manual_tunnels_;  // (low, high)
@@ -305,10 +349,12 @@ class VnBone {
   std::vector<VirtualLink> links_;
   std::size_t partition_repairs_ = 0;
   std::size_t bootstrap_tunnels_ = 0;
+  std::vector<IntraLinks> intra_;  // by DomainId value
 
   // vN routing tables (see route()).
   mutable std::optional<net::Graph> graph_;
   mutable std::vector<std::optional<net::ShortestPaths>> trees_;  // by NodeId value
+  mutable std::size_t tree_builds_ = 0;
   // Proxy-distance table, [domain][target]; rows allocated on first use.
   mutable std::vector<std::vector<std::optional<LegacyReach>>> legacy_;
   mutable std::uint64_t legacy_version_ = 0;
